@@ -36,7 +36,6 @@ let abi_conv =
 let engine_conv =
   let parse = function
     | "step" -> Ok Cpu.Step
-    | "block" -> Ok Cpu.Block
     | "chain" -> Ok Cpu.Chain
     | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
   in
@@ -46,7 +45,6 @@ let engine_conv =
         Fmt.string ppf
           (match e with
            | Cpu.Step -> "step"
-           | Cpu.Block -> "block"
            | Cpu.Chain -> "chain") )
 
 (* Lines the libc prototypes add in front of the user's source: compile
@@ -144,45 +142,14 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
       Printf.eprintf "%s: link error: %s\n" file msg;
       2
     | link ->
-      let module Cap = Cheri_cap.Cap in
       let module Perms = Cheri_cap.Perms in
       let module Rtld = Cheri_rtld.Rtld in
       let module Absint = Cheri_analysis.Absint in
-      let ddc =
-        match abi with
-        | Abi.Cheriabi -> Cheri_cap.Cap.null
-        | Abi.Mips64 | Abi.Asan ->
-          (* The narrowed user root the kernel installs as legacy DDC. *)
-          let module A = Cheri_vm.Addr_space in
-          Cap.and_perms
-            (Cap.set_bounds
-               (Cap.set_addr
-                  (Cap.make_root ~base:0 ~top:(1 lsl 48) ())
-                  A.user_base_default)
-               ~len:(A.user_top_default - A.user_base_default))
-            (Perms.diff Perms.all Perms.system_regs)
-      in
-      let entries =
-        link.Rtld.lk_entry
-        :: Hashtbl.fold
-             (fun _ def acc ->
-               match def with
-               | Rtld.Dfunc (_, addr) -> addr :: acc
-               | Rtld.Ddata _ | Rtld.Dtls _ -> acc)
-             link.Rtld.lk_symtab []
-        |> List.sort_uniq compare
-      in
-      let got =
-        List.filter_map
-          (fun (name, off) ->
-            match Hashtbl.find_opt link.Rtld.lk_symtab name with
-            | Some (Rtld.Dfunc (_, addr)) -> Some (off, addr)
-            | _ -> None)
-          link.Rtld.lk_got
-        |> List.sort compare
-      in
+      let entries, got = Rtld.linkage_view link in
       let r =
-        Absint.verify ~ddc ~pcc_may:(Perms.diff Perms.all Perms.system_regs)
+        Absint.verify
+          ~ddc:(Cheri_kernel.Kstate.initial_ddc abi)
+          ~pcc_may:(Perms.diff Perms.all Perms.system_regs)
           ~entries ~got link.Rtld.lk_code
       in
       if r.Absint.r_diags = [] then begin
@@ -363,10 +330,9 @@ let cmd =
     Arg.(value & opt engine_conv Cpu.Chain
          & info [ "engine" ]
              ~doc:"Execution engine: $(b,step) (reference per-instruction \
-                   interpreter), $(b,block) (decoded basic-block cache) or \
-                   $(b,chain) (block cache with superblock chaining and \
-                   inline caches; the default). All produce bit-identical \
-                   statistics.")
+                   interpreter) or $(b,chain) (decoded basic-block cache \
+                   with superblock chaining and inline caches; the \
+                   default). Both produce bit-identical statistics.")
   in
   let args =
     Arg.(value & opt_all string [] & info [ "arg" ] ~doc:"Program argument.")
@@ -403,7 +369,7 @@ let cmd =
   let elide =
     Arg.(value & flag
          & info [ "elide-checks" ]
-             ~doc:"Let the block engine skip capability checks the abstract \
+             ~doc:"Let the chain engine skip capability checks the abstract \
                    interpreter proves cannot fail. Observable behaviour and \
                    all statistics remain bit-identical.")
   in

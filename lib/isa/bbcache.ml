@@ -7,29 +7,28 @@
    keyed by entry pc) into arrays of pre-resolved OCaml closures, then:
 
    - hoists the per-instruction PCC execute check into one per-block
-     tag/seal/perm/bounds check ([block_ok]);
+     tag/seal/perm/bounds check ([enterable]);
    - keeps the PC as an implicit cursor (entry + 4*i) and materializes a
-     capability only at block exits, traps and stops;
+     capability only at chain exits, traps and stops;
    - memoizes the instruction-side translate at page granularity within
      one [run] (the kernel only remaps/evicts pages *between* runs, so a
      (vpage -> frame) pair cannot go stale mid-run; the memo is reset on
      every entry);
    - skips the per-instruction fetch: decoding happened at build time;
-   - optionally ([run ~chain:true]) chains blocks: a block exit resolves
-     its successor through a patched direct link (fall-through) or a
-     monomorphic inline cache (jumps, capability jumps), entering the next
-     translated block without returning to the dispatch loop — threaded
-     code in the Deutsch/Schiffman sense, with fuel checked per chained
-     entry and the PCC commit deferred until the chain exits.
+   - chains blocks: a block exit resolves its successor through a patched
+     direct link (fall-through) or a monomorphic inline cache (jumps,
+     capability jumps), entering the next translated block without
+     returning to the dispatch loop — threaded code in the
+     Deutsch/Schiffman sense, with fuel checked per chained entry and the
+     PCC commit deferred until the chain exits.
 
-   Accounting: in plain block mode, per-instruction [Cache.ifetch] probes
-   and cycle accounting stay inside each closure, in program order. In
-   chain mode they are batched per 64-byte instruction line — sound only
-   because the batch is *provably* observation-equivalent: the head fetch
-   of each line runs as a real in-order probe (the only one that can reach
-   the shared L2), and the follow-on fetches are guaranteed IL1 hits whose
-   state effects commute with interleaved data accesses (IL1 shares no
-   state with DL1/L2; cycles and instret are sums). See [exec_block] and
+   Accounting: per-instruction [Cache.ifetch] probes and cycle accounting
+   are batched per 64-byte instruction line — sound only because the
+   batch is *provably* observation-equivalent: the head fetch of each line
+   runs as a real in-order probe (the only one that can reach the shared
+   L2), and the follow-on fetches are guaranteed IL1 hits whose state
+   effects commute with interleaved data accesses (IL1 shares no state
+   with DL1/L2; cycles and instret are sums). See [exec_block] and
    [Cache.repeat_hits]. The contract (docs/INTERP.md) is that [instret],
    [cycles], per-level cache statistics, trap causes and PCs, and all
    architectural state are bit-identical to [Cpu.step]; the differential
@@ -57,12 +56,12 @@ type exit_ =
   | Jump_pcc of Cap.t      (* capability jump: replace PCC wholesale *)
   | Stopped of Cpu.stop    (* syscall/rt upcall; PC already committed *)
 
-(* Chain-mode block body: accounting is *batched* per I-cache line instead
-   of being inlined into every closure. [sem] holds pure-semantics
-   closures; [groups] partitions the body indices into maximal runs that
-   share one 64-byte instruction line (the entry pc is fixed per block, so
-   the line phase is static); [basesum.(i)] is the sum of base cycles of
-   body insns [0, i). Per group, the head instruction does the one real
+(* Block body: accounting is *batched* per I-cache line instead of being
+   inlined into every closure. [sem] holds pure-semantics closures;
+   [groups] partitions the body indices into maximal runs that share one
+   64-byte instruction line (the entry pc is fixed per block, so the line
+   phase is static); [basesum.(i)] is the sum of base cycles of body insns
+   [0, i). Per group, the head instruction does the one real
    [Cache.ifetch] probe — the only probe that can reach the L2 — and every
    follow-on fetch in the line is a guaranteed IL1 hit whose effects
    (clock, LRU stamp, hit count, one cycle) are committed in a single
@@ -86,35 +85,27 @@ type sem_body = {
   fused : (Cpu.ctx -> unit) option array;
 }
 
-(* Body representation. [Acct]: the classic per-instruction closures with
-   accounting inlined (the plain block engine). [Sem]: chain-mode batched
-   accounting. A cache only ever holds one flavor at a time (see
-   [t.chain_mode]); both are bit-identical to [Cpu.step]. *)
-type body =
-  | Acct of (Cpu.ctx -> unit) array
-  | Sem of sem_body
-
 type block = {
   b_entry : int;
   b_ilen : int;                        (* instructions incl. terminator *)
-  b_body : body;                       (* straight-line prefix *)
+  b_body : sem_body;                   (* straight-line prefix *)
   (* Entry guard for tier-2 (guarded) elision facts. The body bakes in the
      union of the unconditional mask and the guarded mask; it may only run
      when every predicate holds on the *entry-time* register state, so the
      engine evaluates the conjunction at each acceptance site (dispatch,
-     chained fall/jump, capability jump) right next to [block_ok]. A
+     chained fall/jump, capability jump) as part of [enterable]. A
      failing guard falls back to the exact single-step path — guards gate
      performance, never correctness. Empty for blocks with no guarded
      facts, which therefore pay nothing. *)
   b_guard : Facts.gpred array;
   b_term : (Cpu.ctx -> exit_) option;  (* absent: block ended at max size
                                           or at the edge of decoded code *)
-  (* Chain links (the [run ~chain:true] engine). Patched lazily the first
-     time the corresponding exit resolves; [None] / a stale key just means
-     "go through the hashtable". Links point at blocks in the same table,
-     so every invalidation path — [invalidate], [set_facts], a [map_gen]
-     bump — severs them structurally by resetting the table: a link can
-     only be reached through a block the reset just dropped. *)
+  (* Chain links. Patched lazily the first time the corresponding exit
+     resolves; [None] / a stale key just means "go through the hashtable".
+     Links point at blocks in the same table, so every invalidation path —
+     [invalidate], [set_facts], a [map_gen] bump — severs them
+     structurally by resetting the table: a link can only be reached
+     through a block the reset just dropped. *)
   mutable b_fall : block option;       (* successor at entry + 4*ilen *)
   (* Monomorphic inline cache for [Jump] exits (taken branches, J/Jal and
      the register-indirect Jr/Jalr): last target pc and its block. *)
@@ -133,25 +124,20 @@ type t = {
   mutable map_gen : int;               (* pmap generation at last flush *)
   (* Check-elision facts (lib/analysis/absint.ml). When present, [build]
      compiles memory accesses whose capability check the analysis
-     discharged into [~check:false] closures. Facts are keyed exactly like
+     discharged into check-free closures. Facts are keyed exactly like
      blocks (superblock entry pc -> bitmask), so any entry point gets the
      facts proved for *its* straight-line run. *)
   mutable facts : Facts.t option;
   (* Per-run ifetch translate memo (reset on every [run] entry). *)
   mutable cur_vpage : int;
   mutable cur_pbase : int;
-  (* Which body flavor [build] compiles: [false] = Acct (per-instruction
-     accounting), [true] = Sem (chain-mode batched accounting). Set by
-     [run ~chain]; flipping it flushes the cache so the table never mixes
-     flavors. *)
-  mutable chain_mode : bool;
   (* [exec_block] scratch state, hosted here so executing a block performs
      zero allocation (no flambda: local refs escaping into the trap
      handler would be heap cells). Execution is not reentrant — closures
      never call back into the engine — so one set per cache suffices.
      [x_i]: index of the instruction in flight; [x_gs]/[x_gcost]/[x_gpa]:
      start index, head-probe cost (-1 = none in flight) and head physical
-     address of the Sem line group being executed. *)
+     address of the line group being executed. *)
   mutable x_i : int;
   mutable x_gs : int;
   mutable x_gcost : int;
@@ -164,8 +150,8 @@ type t = {
      consecutive accesses in the same block body, so the value can never
      be another run's: each head overwrites it unconditionally. *)
   mutable x_run_pa : int;
-  (* Chain-mode data-side translate memo: small set-associative software
-     TLBs (2 sets x 2 ways, indexed by vpage parity, MRU way first), split
+  (* Data-side translate memo: small set-associative software TLBs
+     (2 sets x 2 ways, indexed by vpage parity, MRU way first), split
      by access kind because read and write rights (and COW) differ. One
      entry per side thrashes as soon as a loop touches two pages of the
      same kind per iteration — memcpy-style src/dst streams, a buffer plus
@@ -195,10 +181,10 @@ type t = {
   mutable dtlb_hits : int;             (* data-side software-TLB hits *)
   mutable dtlb_misses : int;           (* ... full translates *)
   (* Dynamic check_cap probe counters (bench/docs; not part of the parity
-     contract). Every memory-access closure executed by the block engines
-     bumps exactly one of these: [checked_probes] when the compiled closure
-     runs the capability check, [elided_probes] when the analysis discharged
-     it (tier-1 mask or a guarded mask whose entry guard held). Accesses
+     contract). Every memory-access closure executed by the engine bumps
+     exactly one of these: [checked_probes] when the compiled closure runs
+     the capability check, [elided_probes] when the analysis discharged it
+     (tier-1 mask or a guarded mask whose entry guard held). Accesses
      executed on the single-step fallback path are not counted — they are
      outside the compiled-block world these counters describe. *)
   mutable checked_probes : int;
@@ -225,7 +211,6 @@ let create () =
     map_gen = min_int;
     facts = None;
     cur_vpage = -1; cur_pbase = 0;
-    chain_mode = false;
     x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0; x_run_pa = -1;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
@@ -279,14 +264,14 @@ let chain_stats t =
     ch_fused_groups = t.fused_groups; ch_fused_insns = t.fused_insns;
     ch_batched = t.batched_probes }
 
-(* Drop every decoded block (context switch, exec image replacement).
-   Facts are left attached: they are keyed by entry pc against the owning
-   process's image, and the kernel re-asserts them via [set_facts] on every
-   dispatch (dropping them when the owner or its address space changed). *)
 let dtlb_reset t =
   Array.fill t.d_rd_vp 0 4 (-1);
   Array.fill t.d_wr_vp 0 4 (-1)
 
+(* Drop every decoded block (context switch, exec image replacement).
+   Facts are left attached: they are keyed by entry pc against the owning
+   process's image, and the kernel re-asserts them via [set_facts] on every
+   dispatch (dropping them when the owner or its address space changed). *)
 let invalidate t =
   Hashtbl.reset t.blocks;
   t.map_gen <- min_int;
@@ -327,7 +312,7 @@ let translate_exec t m pc =
     pa
   end
 
-(* Chain-mode data translates. A natural-aligned access of <= 16 bytes
+(* Data-side translates. A natural-aligned access of <= 16 bytes
    never crosses a page, so one (vpage -> frame base) pair resolves the
    whole access. Misses go through the real [m.translate], which raises
    page faults exactly as the step engine; hits are sound because nothing
@@ -338,10 +323,9 @@ let translate_exec t m pc =
    any array write, so a faulting access never perturbs the TLB. Indices
    are [2*(vp land 1)] and [+1] into length-4 arrays, in range by
    construction. *)
-let translate_rd t m vaddr =
+let translate_data t m vps pbs ~write vaddr =
   let vp = vaddr lsr page_shift in
   let s = (vp land 1) * 2 in
-  let vps = t.d_rd_vp and pbs = t.d_rd_pb in
   if Array.unsafe_get vps s = vp then begin
     t.dtlb_hits <- t.dtlb_hits + 1;
     Array.unsafe_get pbs s + (vaddr land page_mask)
@@ -356,7 +340,7 @@ let translate_rd t m vaddr =
     pb + (vaddr land page_mask)
   end
   else begin
-    let pa = m.Cpu.translate vaddr ~write:false ~exec:false in
+    let pa = m.Cpu.translate vaddr ~write ~exec:false in
     t.dtlb_misses <- t.dtlb_misses + 1;
     Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
     Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
@@ -365,34 +349,13 @@ let translate_rd t m vaddr =
     pa
   end
 
-let translate_wr t m vaddr =
-  let vp = vaddr lsr page_shift in
-  let s = (vp land 1) * 2 in
-  let vps = t.d_wr_vp and pbs = t.d_wr_pb in
-  if Array.unsafe_get vps s = vp then begin
-    t.dtlb_hits <- t.dtlb_hits + 1;
-    Array.unsafe_get pbs s + (vaddr land page_mask)
-  end
-  else if Array.unsafe_get vps (s + 1) = vp then begin
-    t.dtlb_hits <- t.dtlb_hits + 1;
-    let pb = Array.unsafe_get pbs (s + 1) in
-    Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
-    Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
-    Array.unsafe_set vps s vp;
-    Array.unsafe_set pbs s pb;
-    pb + (vaddr land page_mask)
-  end
-  else begin
-    let pa = m.Cpu.translate vaddr ~write:true ~exec:false in
-    t.dtlb_misses <- t.dtlb_misses + 1;
-    Array.unsafe_set vps (s + 1) (Array.unsafe_get vps s);
-    Array.unsafe_set pbs (s + 1) (Array.unsafe_get pbs s);
-    Array.unsafe_set vps s vp;
-    Array.unsafe_set pbs s (pa - (vaddr land page_mask));
-    pa
-  end
+let[@inline] translate_rd t m vaddr =
+  translate_data t m t.d_rd_vp t.d_rd_pb ~write:false vaddr
 
-(* Fast-path capability probe for the chain engine's memory closures:
+let[@inline] translate_wr t m vaddr =
+  translate_data t m t.d_wr_vp t.d_wr_pb ~write:true vaddr
+
+(* Fast-path capability probe for the memory closures:
    pure field reads, no exception frame, same predicate as
    [Cap.check_access_at]. On failure the caller re-runs [Cpu.check_cap],
    which performs the architecturally-ordered checks and raises the exact
@@ -432,10 +395,10 @@ let rec guard_ok_from (ctx : Cpu.ctx) (preds : Facts.gpred array) i n =
 let guard_ok (ctx : Cpu.ctx) (preds : Facts.gpred array) =
   guard_ok_from ctx preds 0 (Array.length preds)
 
-(* Per-instruction accounting prologue, shared by every [Acct] closure:
-   charge the ifetch (through the memoized exec translate) plus base
-   cycles, and retire the instruction — exactly what [Cpu.step] does
-   before executing, so a faulting instruction still counts, as there. *)
+(* Per-instruction accounting prologue of a terminator closure: charge the
+   ifetch (through the memoized exec translate) plus base cycles, and
+   retire the instruction — exactly what [Cpu.step] does before executing,
+   so a faulting terminator still counts, as there. *)
 let account t m pc base ctx =
   let ipa = translate_exec t m pc in
   ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.ifetch m.Cpu.hier ipa + base;
@@ -443,109 +406,104 @@ let account t m pc base ctx =
 
 (* --- Block compilation ---------------------------------------------------- *)
 
-(* Straight-line instruction at [pc] -> closure. The hottest ALU forms get
-   specialized closures (no re-dispatch per execution); everything else
-   funnels through the one shared semantics function, [Cpu.exec_straight].
-   The fuzzer exercises both paths against the step engine.
+(* Tier-3 access-run role of a body instruction (from [Facts.cert]):
+   [R_head (lo, hi)] marks the first access of a certified same-line run
+   ([lo, hi) is the hulled byte window of the whole run relative to the
+   head's vaddr); [R_tail delta] marks a follow-on access whose vaddr is
+   provably head_vaddr + delta. *)
+type run_info =
+  | R_none
+  | R_head of int * int
+  | R_tail of int
+
+(* The exact data-side address work of one access: translate through the
+   software TLB (which raises page faults exactly as [m.translate]), then
+   the real cache probe. Inlined into every plain memory closure. *)
+let[@inline] access_rd t m (ctx : Cpu.ctx) vaddr w =
+  let pa = translate_rd t m vaddr in
+  ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access m.Cpu.hier pa w;
+  pa
+
+let[@inline] access_wr t m (ctx : Cpu.ctx) vaddr w =
+  let pa = translate_wr t m vaddr in
+  ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access m.Cpu.hier pa w;
+  pa
+
+(* Address work of a tier-3 access-run member; returns the physical
+   address. Every run member still runs its own capability check (unless
+   tier 1/2 elided it), its alignment check and — for CSC — the
+   stored-value rights checks, on the syntactically recomputed vaddr, in
+   its closure before calling this: each trap the step engine would raise
+   fires, with the identical cause and payload. What the certificate lets
+   tails skip is only the address work.
+
+   A head runs the exact sequence and then publishes [t.x_run_pa]: its
+   physical address if the hulled byte window [pa+lo, pa+hi) of the whole
+   run sits inside one 64-byte line, else -1. Testing the fit on the
+   physical address is the same as testing it on the virtual one because
+   pages are line-aligned (the address phase mod 64 is
+   translation-invariant); fit implies the whole run shares the head's
+   line and therefore its page, so every tail's physical address is
+   exactly head_pa + delta and its translate could neither fault nor
+   disagree. For write runs, kind homogeneity (enforced by the analysis)
+   means the head's write translate already performed COW and dirty
+   marking for the shared page. A tail with a published head therefore
+   replaces translate + [Cache.data_access] with the guaranteed-hit batch
+   [Cache.daccess_repeats] — exact because run members are *consecutive*
+   data accesses, so the head's DL1 line is still resident (see
+   cache.ml). A tail that finds [t.x_run_pa = -1] runs the exact sequence
+   instead: the fast path gates performance, never correctness. *)
+let run_access t m run (ctx : Cpu.ctx) ~write vaddr w =
+  match run with
+  | R_tail delta when t.x_run_pa >= 0 ->
+    let h = m.Cpu.hier in
+    t.batched_probes <- t.batched_probes + 1;
+    let pa = t.x_run_pa + delta in
+    Cache.daccess_repeats h pa 1;
+    ctx.Cpu.cycles <- ctx.Cpu.cycles + h.Cache.l1_hit_cycles;
+    pa
+  | _ ->
+    let pa =
+      if write then access_wr t m ctx vaddr w else access_rd t m ctx vaddr w
+    in
+    (match run with
+     | R_head (lo, hi) ->
+       t.x_run_pa <-
+         (if ((pa + lo) land (Cache.line_size - 1)) + (hi - lo)
+             <= Cache.line_size
+          then pa
+          else -1)
+     | R_none | R_tail _ -> ());
+    pa
+
+(* Straight-line instruction at [pc] -> closure with NO inlined
+   accounting: block bodies batch fetch/cycle/instret accounting per
+   I-cache line (see [exec_block]), so closures carry pure semantics only.
+   The hottest ALU, capability-inspection and memory forms get specialized
+   closures (closure dispatch is the dominant cost, so avoiding the second
+   match in [Cpu.exec_straight] pays); everything else funnels through the
+   one shared semantics function, [Cpu.exec_straight]. The fuzzer
+   exercises both paths against the step engine.
 
    [elide] means the absint facts discharged this instruction's capability
-   check: the memory arms then compile a [~check:false] closure. Only the
-   [Cpu.check_cap] probe disappears — a pure test with no statistics side
-   effects — so retired instructions, cycles and cache counters are
-   untouched, which is what keeps elided runs bit-identical. *)
-let compile_straight t m ~pc ~elide insn =
-  let base = Insn.base_cycles insn in
-  let check = not elide in
-  if elide then t.elided_sites <- t.elided_sites + 1;
-  (* Dynamic probe accounting: one bump per executed memory access, on the
-     side the compiled closure actually took ([check] is baked in). *)
-  let count_probe () =
-    if check then t.checked_probes <- t.checked_probes + 1
-    else t.elided_probes <- t.elided_probes + 1
-  in
-  match insn with
-  | Insn.Li (rd, v) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd v
-  | Insn.Move (rd, rs) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs)
-  | Insn.Addu (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + Cpu.rd_gpr ctx rt)
-  | Insn.Addiu (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs + i)
-  | Insn.Subu (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs - Cpu.rd_gpr ctx rt)
-  | Insn.Andi (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs land i)
-  | Insn.Ori (rd, rs, i) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lor i)
-  | Insn.Sll (rd, rs, sh) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_gpr ctx rd (Cpu.rd_gpr ctx rs lsl sh)
-  | Insn.Slt (rd, rs, rt) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < Cpu.rd_gpr ctx rt then 1 else 0)
-  | Insn.Slti (rd, rs, i) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_gpr ctx rd (if Cpu.rd_gpr ctx rs < i then 1 else 0)
-  | Insn.Load { w; signed; rd; base = b; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_load ~check m ctx ~w ~signed ~rd ~base:b ~off
-  | Insn.Store { w; rs; base = b; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_store ~check m ctx ~w ~rs ~base:b ~off
-  | Insn.CLoad { w; signed; rd; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_cload ~check m ctx ~w ~signed ~rd ~cb ~off
-  | Insn.CStore { w; rs; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_cstore ~check m ctx ~w ~rs ~cb ~off
-  | Insn.CLC { cd; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_clc ~check m ctx ~cd ~cb ~off
-  | Insn.CSC { cs; cb; off } ->
-    fun ctx ->
-      account t m pc base ctx; count_probe ();
-      Cpu.do_csc ~check m ctx ~cs ~cb ~off
-  | Insn.CIncOffsetImm (cd, cb, i) ->
-    fun ctx ->
-      account t m pc base ctx;
-      Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) i)
-  | Insn.CMove (cd, cb) ->
-    fun ctx -> account t m pc base ctx; Cpu.wr_creg ctx cd (Cpu.rd_creg ctx cb)
-  | Insn.Nop ->
-    fun ctx -> account t m pc base ctx
-  | insn ->
-    fun ctx -> account t m pc base ctx; Cpu.exec_straight m ctx ~pc insn
-
-(* The same specialization with NO inlined accounting: the chain engine's
-   [Sem] bodies batch fetch/cycle/instret accounting per I-cache line
-   (see [exec_block]), so closures carry pure semantics only. The [elide]
-   contract is identical to [compile_straight].
+   check: the memory arms then skip the [Cpu.check_cap] probe — a pure test
+   with no statistics side effects — so retired instructions, cycles and
+   cache counters are untouched, which is what keeps elided runs
+   bit-identical. [run] is the instruction's tier-3 access-run role: run
+   heads and tails take their address work from [run_access]; every other
+   access keeps translate and cache probe inline.
 
    Memory arms inline [Cpu.mem_read]/[Cpu.mem_write] with the data-side
    translate memo substituted — check order (capability probe, alignment,
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
-   cross-checks every path. More ALU and capability-inspection forms are
-   specialized than in [compile_straight]: with accounting hoisted out,
-   closure dispatch is the dominant cost, so avoiding the second match in
-   [Cpu.exec_straight] pays here. *)
-let compile_sem t m ~pc ~elide insn =
+   cross-checks every path. *)
+let compile_sem t m ~pc ~elide ~run insn =
   let check = not elide in
   if elide then t.elided_sites <- t.elided_sites + 1;
-  let hier = m.Cpu.hier in
   let mem = m.Cpu.mem in
-  (* Same dynamic probe accounting as [compile_straight]. *)
+  (* Dynamic probe accounting: one bump per executed memory access, on the
+     side the compiled closure actually took ([check] is baked in). *)
   let count_probe () =
     if check then t.checked_probes <- t.checked_probes + 1
     else t.elided_probes <- t.elided_probes + 1
@@ -600,8 +558,11 @@ let compile_sem t m ~pc ~elide insn =
       if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
+      let pa =
+        match run with
+        | R_none -> access_rd t m ctx vaddr w
+        | _ -> run_access t m run ctx ~write:false vaddr w
+      in
       Cpu.wr_gpr ctx rd
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
@@ -612,8 +573,11 @@ let compile_sem t m ~pc ~elide insn =
       if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
+      let pa =
+        match run with
+        | R_none -> access_wr t m ctx vaddr w
+        | _ -> run_access t m run ctx ~write:true vaddr w
+      in
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLoad { w; signed; rd; cb; off } ->
     fun ctx ->
@@ -623,8 +587,11 @@ let compile_sem t m ~pc ~elide insn =
       if check && not (cap_ok cap Perms.load vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
+      let pa =
+        match run with
+        | R_none -> access_rd t m ctx vaddr w
+        | _ -> run_access t m run ctx ~write:false vaddr w
+      in
       Cpu.wr_gpr ctx rd
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
@@ -636,8 +603,11 @@ let compile_sem t m ~pc ~elide insn =
       if check && not (cap_ok cap Perms.store vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
+      let pa =
+        match run with
+        | R_none -> access_wr t m ctx vaddr w
+        | _ -> run_access t m run ctx ~write:true vaddr w
+      in
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLC { cd; cb; off } ->
     fun ctx ->
@@ -647,8 +617,11 @@ let compile_sem t m ~pc ~elide insn =
       if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
       Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_rd t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
+      let pa =
+        match run with
+        | R_none -> access_rd t m ctx vaddr Cap.sizeof
+        | _ -> run_access t m run ctx ~write:false vaddr Cap.sizeof
+      in
       let loaded = Tagmem.read_cap mem pa in
       let loaded =
         if Perms.has (Cap.perms cap) Perms.load_cap then loaded
@@ -673,8 +646,11 @@ let compile_sem t m ~pc ~elide insn =
             ~vaddr
       end;
       Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_wr t m vaddr in
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
+      let pa =
+        match run with
+        | R_none -> access_wr t m ctx vaddr Cap.sizeof
+        | _ -> run_access t m run ctx ~write:true vaddr Cap.sizeof
+      in
       Tagmem.write_cap mem pa v
   | Insn.CIncOffsetImm (cd, cb, i) ->
     fun ctx -> Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) i)
@@ -705,319 +681,6 @@ let compile_sem t m ~pc ~elide insn =
     fun ctx -> Cpu.wr_gpr ctx rd (Cap.otype (Cpu.rd_creg ctx cb))
   | Insn.Nop -> fun _ctx -> ()
   | insn -> fun ctx -> Cpu.exec_straight m ctx ~pc insn
-
-(* Tier-3 access-run role of a body instruction (from [Facts.cert]):
-   [R_head (lo, hi)] marks the first access of a certified same-line run
-   ([lo, hi) is the hulled byte window of the whole run relative to the
-   head's vaddr); [R_tail delta] marks a follow-on access whose vaddr is
-   provably head_vaddr + delta. *)
-type run_info =
-  | R_none
-  | R_head of int * int
-  | R_tail of int
-
-(* [compile_sem] with the access-run fast paths. Every run member keeps
-   its own capability check (unless tier 1/2 elided it), its alignment
-   check and — for CSC — the stored-value rights checks, all evaluated at
-   runtime on the syntactically recomputed vaddr, so each trap the step
-   engine would raise fires here too, with the identical cause and
-   payload. What the certificate lets tails skip is only the address
-   work: the TLB translate and the real [Cache.data_access] probe.
-
-   Heads run the exact sequence (checks, translate, real probe) and then
-   publish [t.x_run_pa]: the head's physical address if the hulled byte
-   window [pa+lo, pa+hi) of the whole run sits inside one 64-byte line,
-   else -1. Testing the fit on the physical address is the same as
-   testing it on the virtual one because pages are line-aligned (the
-   address phase mod 64 is translation-invariant); fit implies the whole
-   run shares the head's line and therefore its page, so every tail's
-   physical address is exactly head_pa + delta and its translate could
-   neither fault nor disagree. For write runs, kind homogeneity (enforced
-   by the analysis) means the head's write translate already performed
-   COW and dirty marking for the shared page. Tails with a published head
-   therefore replace translate + [Cache.data_access] with the
-   guaranteed-hit batch [Cache.daccess_repeats] — exact because run
-   members are *consecutive* data accesses, so the head's DL1 line is
-   still resident (see cache.ml). A tail that finds [t.x_run_pa = -1]
-   runs the exact sequence instead: the fast path gates performance,
-   never correctness. *)
-let compile_sem_run t m ~pc ~elide ~run insn =
-  let check = not elide in
-  let hier = m.Cpu.hier in
-  let mem = m.Cpu.mem in
-  let count_probe () =
-    if check then t.checked_probes <- t.checked_probes + 1
-    else t.elided_probes <- t.elided_probes + 1
-  in
-  let site () = if elide then t.elided_sites <- t.elided_sites + 1 in
-  (* Publish the head's pa for the run's tails, or -1 when the hulled
-     window leaves the head's cache line. *)
-  let publish lo hi pa =
-    t.x_run_pa <-
-      (if ((pa + lo) land (Cache.line_size - 1)) + (hi - lo)
-          <= Cache.line_size
-       then pa
-       else -1)
-  in
-  match run, insn with
-  | R_none, _ -> compile_sem t m ~pc ~elide insn
-  | R_head (lo, hi), Insn.Load { w; signed; rd; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
-  | R_tail delta, Insn.Load { w; signed; rd; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-  | R_head (lo, hi), Insn.Store { w; rs; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-  | R_tail delta, Insn.Store { w; rs; base = b; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let vaddr = Cpu.rd_gpr ctx b + off in
-      if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
-        Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-  | R_head (lo, hi), Insn.CLoad { w; signed; rd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Cpu.wr_gpr ctx rd
-        (if signed then Tagmem.read_int_signed mem pa ~len:w
-         else Tagmem.read_int mem pa ~len:w)
-  | R_tail delta, Insn.CLoad { w; signed; rd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Cpu.wr_gpr ctx rd
-          (if signed then Tagmem.read_int_signed mem pa ~len:w
-           else Tagmem.read_int mem pa ~len:w)
-      end
-  | R_head (lo, hi), Insn.CStore { w; rs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-      Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-  | R_tail delta, Insn.CStore { w; rs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr w) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
-      Cpu.check_align vaddr w;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa w;
-        Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
-      end
-  | R_head (lo, hi), Insn.CLC { cd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_rd t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      let loaded = Tagmem.read_cap mem pa in
-      let loaded =
-        if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-        else Cap.clear_tag loaded
-      in
-      Cpu.wr_creg ctx cd loaded
-  | R_tail delta, Insn.CLC { cd; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
-      Cpu.check_align vaddr Cap.sizeof;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        let loaded = Tagmem.read_cap mem pa in
-        let loaded =
-          if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-          else Cap.clear_tag loaded
-        in
-        Cpu.wr_creg ctx cd loaded
-      end
-      else begin
-        let pa = translate_rd t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-        let loaded = Tagmem.read_cap mem pa in
-        let loaded =
-          if Perms.has (Cap.perms cap) Perms.load_cap then loaded
-          else Cap.clear_tag loaded
-        in
-        Cpu.wr_creg ctx cd loaded
-      end
-  | R_head (lo, hi), Insn.CSC { cs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
-      let v = Cpu.rd_creg ctx cs in
-      if Cap.is_tagged v then begin
-        if not (Perms.has (Cap.perms cap) Perms.store_cap) then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Cap.perms v) Perms.global))
-           && not (Perms.has (Cap.perms cap) Perms.store_local_cap)
-        then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
-            ~vaddr
-      end;
-      Cpu.check_align vaddr Cap.sizeof;
-      let pa = translate_wr t m vaddr in
-      publish lo hi pa;
-      ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-      Tagmem.write_cap mem pa v
-  | R_tail delta, Insn.CSC { cs; cb; off } ->
-    site ();
-    fun ctx ->
-      count_probe ();
-      let cap = Cpu.rd_creg ctx cb in
-      let vaddr = Cap.addr cap + off in
-      if check && not (cap_ok cap Perms.store vaddr Cap.sizeof) then
-        Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:Cap.sizeof;
-      let v = Cpu.rd_creg ctx cs in
-      if Cap.is_tagged v then begin
-        if not (Perms.has (Cap.perms cap) Perms.store_cap) then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_cap) ~reg:cb ~vaddr;
-        if (not (Perms.has (Cap.perms v) Perms.global))
-           && not (Perms.has (Cap.perms cap) Perms.store_local_cap)
-        then
-          Cpu.cap_fault (Cap.Permit_violation Perms.store_local_cap) ~reg:cb
-            ~vaddr
-      end;
-      Cpu.check_align vaddr Cap.sizeof;
-      let rp = t.x_run_pa in
-      if rp >= 0 then begin
-        t.batched_probes <- t.batched_probes + 1;
-        let pa = rp + delta in
-        Cache.daccess_repeats hier pa 1;
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + hier.Cache.l1_hit_cycles;
-        Tagmem.write_cap mem pa v
-      end
-      else begin
-        let pa = translate_wr t m vaddr in
-        ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access hier pa Cap.sizeof;
-        Tagmem.write_cap mem pa v
-      end
-  | (R_head _ | R_tail _), _ ->
-    (* Run info on a non-memory instruction means the certificate and the
-       decoded code disagree — compile the exact closure. *)
-    compile_sem t m ~pc ~elide insn
 
 (* Terminator at [pc] -> exit closure. Mirrors the control arms of
    [Cpu.step] exactly, including the +1 taken-branch cycle, the alignment
@@ -1175,14 +838,8 @@ let fuse t sem mems s e =
 (* Decode a maximal block starting at [entry]. Returns [None] when even
    the first instruction is outside decoded code: the step fallback then
    reproduces the fetch fault with exact accounting. Build never touches
-   translate, caches or counters, so it is invisible to the statistics.
-   The body flavor follows [t.chain_mode] (see [body]). *)
+   translate, caches or counters, so it is invisible to the statistics. *)
 let build t m entry =
-  let body = ref [] in
-  let bases = ref [] in
-  let mems = ref [] in
-  let term = ref None in
-  let n = ref 0 in
   (* Unconditional (tier-1) mask, plus the guarded (tier-2) mask whose
      predicates the run loop evaluates at every entry into this block. The
      body bakes in the union; a block with guarded bits only runs when its
@@ -1193,71 +850,58 @@ let build t m entry =
   in
   let emask = fmask lor gmask in
   (* Tier-3 certificate: trap-free prefix length and same-line access
-     runs, keyed like the masks. Only consulted in chain mode (fusion and
-     batched probes live in [Sem] bodies). Pulled after [mask]/[guarded]
-     so a lazy fact table resolves each entry exactly once. *)
+     runs, keyed like the masks. Pulled after [mask]/[guarded] so a lazy
+     fact table resolves each entry exactly once. *)
   let cert =
-    if t.chain_mode then
-      match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
-    else Facts.no_cert
+    match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
   in
-  let rmap = Array.make max_block R_none in
-  Array.iter
-    (fun r ->
-       rmap.(r.Facts.ar_head) <- R_head (r.Facts.ar_lo, r.Facts.ar_hi);
-       Array.iter (fun (j, d) -> rmap.(j) <- R_tail d) r.Facts.ar_tail)
-    cert.Facts.ct_runs;
+  let insns = ref [] in
+  let term = ref None in
+  let n = ref 0 in
   (try
      while !term = None && !n < max_block do
        let pc = entry + (4 * !n) in
        let insn = m.Cpu.fetch pc in
        if Insn.is_terminator insn then term := Some (compile_term t m ~pc insn)
-       else begin
-         let elide = (emask lsr !n) land 1 = 1 in
-         if t.chain_mode then begin
-           body := compile_sem_run t m ~pc ~elide ~run:rmap.(!n) insn :: !body;
-           bases := Insn.base_cycles insn :: !bases;
-           mems := is_memop insn :: !mems
-         end
-         else body := compile_straight t m ~pc ~elide insn :: !body
-       end;
+       else insns := insn :: !insns;
        incr n
      done
    with Trap.Trap _ -> ());
   if !n = 0 then None
   else begin
     t.built <- t.built + 1;
-    let closures = Array.of_list (List.rev !body) in
-    let b_body =
-      if t.chain_mode then begin
-        let nbody = Array.length closures in
-        let basesum = Array.make (nbody + 1) 0 in
-        List.iteri
-          (fun i b -> basesum.(nbody - i) <- b)
-          !bases;
-        for i = 1 to nbody do basesum.(i) <- basesum.(i) + basesum.(i - 1) done;
-        let groups = make_groups entry nbody in
-        let prefix = cert.Facts.ct_prefix in
-        let fused =
-          if prefix <= 0 then Array.make (Array.length groups) None
-          else begin
-            let memarr = Array.make nbody false in
-            List.iteri (fun i b -> memarr.(nbody - 1 - i) <- b) !mems;
-            Array.map
-              (fun packed ->
-                 let s = packed lsr 16 in
-                 let e = s + (packed land 0xffff) - 1 in
-                 if e < prefix then Some (fuse t closures memarr s e)
-                 else None)
-              groups
-          end
-        in
-        Sem { sem = closures; groups; basesum; fused }
-      end
-      else Acct closures
+    let insns = Array.of_list (List.rev !insns) in
+    let rmap = Array.make max_block R_none in
+    Array.iter
+      (fun r ->
+         rmap.(r.Facts.ar_head) <- R_head (r.Facts.ar_lo, r.Facts.ar_hi);
+         Array.iter (fun (j, d) -> rmap.(j) <- R_tail d) r.Facts.ar_tail)
+      cert.Facts.ct_runs;
+    let sem =
+      Array.mapi
+        (fun i insn ->
+           compile_sem t m ~pc:(entry + (4 * i))
+             ~elide:((emask lsr i) land 1 = 1) ~run:rmap.(i) insn)
+        insns
+    in
+    let nbody = Array.length insns in
+    let basesum = Array.make (nbody + 1) 0 in
+    Array.iteri
+      (fun i insn -> basesum.(i + 1) <- basesum.(i) + Insn.base_cycles insn)
+      insns;
+    let groups = make_groups entry nbody in
+    let prefix = cert.Facts.ct_prefix in
+    let mems = Array.map is_memop insns in
+    let fused =
+      Array.map
+        (fun packed ->
+           let s = packed lsr 16 in
+           let e = s + (packed land 0xffff) - 1 in
+           if e < prefix then Some (fuse t sem mems s e) else None)
+        groups
     in
     Some { b_entry = entry; b_ilen = !n;
-           b_body;
+           b_body = { sem; groups; basesum; fused };
            b_guard = (if gmask = 0 then [||] else gpreds);
            b_term = !term;
            b_fall = None;
@@ -1276,26 +920,31 @@ let lookup_or_build t m pc =
 
 (* --- Block execution ------------------------------------------------------- *)
 
-(* The hoisted PCC check: one tag/seal/execute/bounds test standing in for
-   [b_ilen] per-instruction [check_access_at] calls. If it fails the block
-   is NOT necessarily faulty — a PCC whose bounds end mid-block may still
-   execute a prefix — so the caller falls back to single-stepping, which
-   raises (or not) exactly as the reference engine. *)
-let block_ok (ctx : Cpu.ctx) b =
+(* The one acceptance predicate, evaluated wherever a block is about to be
+   entered — dispatch, chained fall/jump, capability jump:
+
+   - the remaining [fuel] covers the whole block (otherwise the dispatch
+     loop single-steps, so a quantum expiring mid-block replays exactly);
+   - the hoisted PCC check: one tag/seal/execute/bounds test standing in
+     for [b_ilen] per-instruction [check_access_at] calls. If it fails the
+     block is NOT necessarily faulty — a PCC whose bounds end mid-block may
+     still execute a prefix — so the caller falls back to single-stepping,
+     which raises (or not) exactly as the reference engine. [pcc_known]
+     skips the tag/seal/execute half when it is already known to hold for
+     [ctx.pcc], i.e. across [Bx_next] chain hops, which never touch the
+     PCC object (only [Bx_pcc] replaces it, and that path re-runs the full
+     check);
+   - the block's tier-2 entry guard holds on the current registers. *)
+let[@inline] enterable (ctx : Cpu.ctx) b ~fuel ~pcc_known =
   let p = ctx.Cpu.pcc in
-  Cap.is_tagged p
-  && (not (Cap.is_sealed p))
-  && Perms.has (Cap.perms p) Perms.execute
+  b.b_ilen <= fuel
+  && (pcc_known
+      || (Cap.is_tagged p
+          && (not (Cap.is_sealed p))
+          && Perms.has (Cap.perms p) Perms.execute))
   && b.b_entry >= Cap.base p
   && b.b_entry + (4 * b.b_ilen) <= Cap.top p
-
-(* The bounds half of [block_ok] alone — valid when the tag/seal/execute
-   half is already known to hold for [ctx.pcc], i.e. across [Bx_next]
-   chain hops, which never touch the PCC object (only [Bx_pcc] replaces
-   it, and that path re-runs the full check). *)
-let bounds_ok (ctx : Cpu.ctx) b =
-  let p = ctx.Cpu.pcc in
-  b.b_entry >= Cap.base p && b.b_entry + (4 * b.b_ilen) <= Cap.top p
+  && (Array.length b.b_guard = 0 || guard_ok ctx b.b_guard)
 
 (* How a block's execution left the machine. Splitting this out of the
    PCC lets chained runs defer the [set_addr] commit: between two chained
@@ -1308,32 +957,10 @@ type bexit =
   | Bx_pcc                (* capability jump: ctx.pcc replaced wholesale *)
   | Bx_stop of Cpu.stop   (* syscall/rt/trap; ctx.pcc committed *)
 
-(* Execute [b]. The caller guarantees [block_ok] held on entry; [ctx.pcc]'s
-   *address* may be stale mid-chain (closures bake their pc; only the PCC's
-   non-address fields are consulted by the body and terminator closures).
-   On a mid-block trap the PCC is materialized at the faulting instruction
-   (b_entry + 4*i) of the block that actually faulted — never a chain
-   head's — from the entry PCC's non-address fields: [block_ok] guaranteed
-   every such address is in bounds, and the representable window contains
-   the bounds, so the iterated [set_addr] commits of the step engine
-   produce exactly this capability.
-
-   [Sem] bodies batch the accounting per line group. Exactness argument:
-   within a group only the head fetch can miss (and thus probe the L2) —
-   it runs as a real, in-order [Cache.ifetch]. Follow-on fetches are
-   guaranteed IL1 hits; their effects (clock, final LRU stamp, hit count,
-   one cycle each, one retirement each) commute with the group's data
-   accesses because IL1 shares no state with DL1/L2 and cycles/instret are
-   sums, so committing them at group end — or, on a mid-group trap,
-   committing exactly the prefix through the faulting instruction (the
-   step engine accounts an instruction *before* executing it) — leaves
-   every counter and every cache bit identical to the step engine. A
-   page fault on the head probe itself commits nothing for the group,
-   again as the step engine (translate raises before any accounting). *)
-(* Commit the accounting batch for the Sem line group in flight through
-   body index [j] inclusive: the head probe's cost, one IL1-hit cycle and
-   one retirement per follow-on, their base cycles, and the IL1 repeat
-   batch. No-op when no group is in flight ([t.x_gcost < 0]). *)
+(* Commit the accounting batch for the line group in flight through body
+   index [j] inclusive: the head probe's cost, one IL1-hit cycle and one
+   retirement per follow-on, their base cycles, and the IL1 repeat batch.
+   No-op when no group is in flight ([t.x_gcost < 0]). *)
 let commit_sem t m sb (ctx : Cpu.ctx) j =
   if t.x_gcost >= 0 then begin
     let h = m.Cpu.hier in
@@ -1348,46 +975,61 @@ let commit_sem t m sb (ctx : Cpu.ctx) j =
     t.x_gcost <- -1
   end
 
+(* Execute [b]. The caller guarantees [enterable] held on entry;
+   [ctx.pcc]'s *address* may be stale mid-chain (closures bake their pc;
+   only the PCC's non-address fields are consulted by the body and
+   terminator closures). On a mid-block trap the PCC is materialized at
+   the faulting instruction (b_entry + 4*i) of the block that actually
+   faulted — never a chain head's — from the entry PCC's non-address
+   fields: [enterable] guaranteed every such address is in bounds, and the
+   representable window contains the bounds, so the iterated [set_addr]
+   commits of the step engine produce exactly this capability.
+
+   Accounting is batched per line group. Exactness argument: within a
+   group only the head fetch can miss (and thus probe the L2) — it runs as
+   a real, in-order [Cache.ifetch]. Follow-on fetches are guaranteed IL1
+   hits; their effects (clock, final LRU stamp, hit count, one cycle each,
+   one retirement each) commute with the group's data accesses because
+   IL1 shares no state with DL1/L2 and cycles/instret are sums, so
+   committing them at group end — or, on a mid-group trap, committing
+   exactly the prefix through the faulting instruction (the step engine
+   accounts an instruction *before* executing it) — leaves every counter
+   and every cache bit identical to the step engine. A page fault on the
+   head probe itself commits nothing for the group, again as the step
+   engine (translate raises before any accounting). *)
 let exec_block t m b (ctx : Cpu.ctx) =
   let entry_pcc = ctx.Cpu.pcc in
   let entry = b.b_entry in
+  let sb = b.b_body in
   t.x_i <- 0;
   t.x_gcost <- -1;
   try
-    (match b.b_body with
-     | Acct body ->
-       let n = Array.length body in
-       for i = 0 to n - 1 do
-         t.x_i <- i;
-         (Array.unsafe_get body i) ctx
-       done
-     | Sem sb ->
-       let groups = sb.groups in
-       let sem = sb.sem in
-       let fused = sb.fused in
-       for g = 0 to Array.length groups - 1 do
-         let packed = Array.unsafe_get groups g in
-         let s = packed lsr 16 in
-         t.x_i <- s;
-         t.x_gs <- s;
-         let pa = translate_exec t m (entry + (4 * s)) in
-         t.x_gpa <- pa;
-         t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
-         let e = s + (packed land 0xffff) - 1 in
-         (match Array.unsafe_get fused g with
-          | Some f ->
-            (* Certified group: one indirect call; [f] keeps [t.x_i]
-               exact at every possible repair point (memory members). *)
-            t.fused_groups <- t.fused_groups + 1;
-            t.fused_insns <- t.fused_insns + (e - s + 1);
-            f ctx
-          | None ->
-            for j = s to e do
-              t.x_i <- j;
-              (Array.unsafe_get sem j) ctx
-            done);
-         commit_sem t m sb ctx e
-       done);
+    let groups = sb.groups in
+    let sem = sb.sem in
+    let fused = sb.fused in
+    for g = 0 to Array.length groups - 1 do
+      let packed = Array.unsafe_get groups g in
+      let s = packed lsr 16 in
+      t.x_i <- s;
+      t.x_gs <- s;
+      let pa = translate_exec t m (entry + (4 * s)) in
+      t.x_gpa <- pa;
+      t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
+      let e = s + (packed land 0xffff) - 1 in
+      (match Array.unsafe_get fused g with
+       | Some f ->
+         (* Certified group: one indirect call; [f] keeps [t.x_i] exact at
+            every possible repair point (memory members). *)
+         t.fused_groups <- t.fused_groups + 1;
+         t.fused_insns <- t.fused_insns + (e - s + 1);
+         f ctx
+       | None ->
+         for j = s to e do
+           t.x_i <- j;
+           (Array.unsafe_get sem j) ctx
+         done);
+      commit_sem t m sb ctx e
+    done;
     match b.b_term with
     | None -> Bx_next (entry + (4 * b.b_ilen))
     | Some term ->
@@ -1401,11 +1043,11 @@ let exec_block t m b (ctx : Cpu.ctx) =
        | Stopped s -> Bx_stop s)
   with
   | Trap.Trap cause ->
-    (match b.b_body with Sem sb -> commit_sem t m sb ctx t.x_i | Acct _ -> ());
+    commit_sem t m sb ctx t.x_i;
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc (entry + (4 * t.x_i));
     Bx_stop (Cpu.Stop_trap cause)
   | Cap.Cap_error v ->
-    (match b.b_body with Sem sb -> commit_sem t m sb ctx t.x_i | Acct _ -> ());
+    commit_sem t m sb ctx t.x_i;
     let pc = entry + (4 * t.x_i) in
     ctx.Cpu.pcc <- Cap.set_addr entry_pcc pc;
     Bx_stop (Cpu.Stop_trap (Trap.Cap_fault { violation = v; reg = -1; vaddr = pc }))
@@ -1449,7 +1091,7 @@ let chain_succ t m b pc' =
 (* Same, for [Bx_pcc] (capability-jump) exits; [pc'] is the address of the
    already-committed target capability. The cache maps pc -> block just
    like the hashtable does; whether the *capability* covers that block is
-   re-decided by [block_ok] at every chained entry, so two GOT targets
+   re-decided by [enterable] at every chained entry, so two GOT targets
    with equal addresses but different bounds cannot be confused. *)
 let cjump_succ t m b pc' =
   if b.b_cjump_key = pc' then begin
@@ -1473,35 +1115,25 @@ let cjump_succ t m b pc' =
 
 (* --- Dispatch loop ---------------------------------------------------------- *)
 
-(* Run under the block engine until a stop or until [fuel] instructions
-   have executed — same contract as [Cpu.run]. [map_gen] is the owning
-   pmap's generation counter: a change means pages were unmapped or
-   re-protected, so decoded blocks are flushed. Whole blocks run only
-   when the remaining fuel covers them; otherwise (and for any block the
-   hoisted check cannot cover) the engine single-steps, which makes
-   mid-block quantum stops replay exactly.
+(* Run until a stop or until [fuel] instructions have executed — same
+   contract as [Cpu.run]. [map_gen] is the owning pmap's generation
+   counter: a change means pages were unmapped or re-protected, so decoded
+   blocks are flushed. Whole blocks run only when [enterable] accepts
+   them; otherwise the engine single-steps, which makes mid-block quantum
+   stops replay exactly.
 
-   [chain] enables superblock chaining: after a block exits, its successor
-   is resolved through the patched links / inline caches and entered
-   directly, without returning here for a hashtable lookup or a PCC
-   commit. A chain keeps running while (a) the successor exists, (b) the
-   remaining fuel covers it whole — the per-chain fuel check; when the
-   quantum expires exactly at a chain-internal block boundary,
-   [nb.b_ilen <= 0] fails and the chain stops precisely there, and when it
-   expires mid-block the dispatch loop's single-step path replays the
-   partial block exactly — and (c) [block_ok] holds at the chained entry,
-   which also re-validates the facts keying (facts are conditional only on
-   the straight-line prefix from the entry, so they hold no matter how
-   control arrived). Between chained blocks the PCC address is left stale
-   (see [bexit]); it is materialized whenever the chain exits. *)
-let run ?(map_gen = 0) ?(chain = false) t m (ctx : Cpu.ctx) ~fuel =
-  if chain <> t.chain_mode then begin
-    if Hashtbl.length t.blocks > 0 then begin
-      Hashtbl.reset t.blocks;
-      t.flushes <- t.flushes + 1
-    end;
-    t.chain_mode <- chain
-  end;
+   After a block exits, its successor is resolved through the patched
+   links / inline caches and entered directly, without returning here for
+   a hashtable lookup or a PCC commit. A chain keeps running while the
+   successor exists and [enterable] accepts it: the per-chain fuel check
+   stops a chain precisely at a chain-internal block boundary when the
+   quantum expires there, and when it expires mid-block the dispatch
+   loop's single-step path replays the partial block exactly; the guard
+   re-validates the facts keying (facts are conditional only on the
+   straight-line prefix from the entry, so they hold no matter how control
+   arrived). Between chained blocks the PCC address is left stale (see
+   [bexit]); it is materialized whenever the chain exits. *)
+let run ?(map_gen = 0) t m (ctx : Cpu.ctx) ~fuel =
   if map_gen <> t.map_gen then begin
     if Hashtbl.length t.blocks > 0 then begin
       Hashtbl.reset t.blocks;
@@ -1517,51 +1149,34 @@ let run ?(map_gen = 0) ?(chain = false) t m (ctx : Cpu.ctx) ~fuel =
   while !running && !remaining > 0 do
     let pc = Cap.addr ctx.Cpu.pcc in
     match lookup_or_build t m pc with
-    | Some b when b.b_ilen <= !remaining && block_ok ctx b
-                  && (Array.length b.b_guard = 0 || guard_ok ctx b.b_guard) ->
-      if chain then begin
-        t.chain_entries <- t.chain_entries + 1;
-        let cur = ref b in
-        let chaining = ref true in
-        while !chaining do
-          let b = !cur in
-          t.block_runs <- t.block_runs + 1;
-          remaining := !remaining - b.b_ilen;
-          match exec_block t m b ctx with
-          | Bx_stop s ->
-            result := Some s;
-            running := false;
-            chaining := false
-          | Bx_next pc' ->
-            (match chain_succ t m b pc' with
-             | Some nb when nb.b_ilen <= !remaining && bounds_ok ctx nb
-                            && (Array.length nb.b_guard = 0
-                                || guard_ok ctx nb.b_guard) ->
-               t.chained <- t.chained + 1;
-               cur := nb
-             | _ ->
-               ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc';
-               chaining := false)
-          | Bx_pcc ->
-            (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
-             | Some nb when nb.b_ilen <= !remaining && block_ok ctx nb
-                            && (Array.length nb.b_guard = 0
-                                || guard_ok ctx nb.b_guard) ->
-               t.chained <- t.chained + 1;
-               cur := nb
-             | _ -> chaining := false)
-        done
-      end
-      else begin
+    | Some b when enterable ctx b ~fuel:!remaining ~pcc_known:false ->
+      t.chain_entries <- t.chain_entries + 1;
+      let cur = ref b in
+      let chaining = ref true in
+      while !chaining do
+        let b = !cur in
         t.block_runs <- t.block_runs + 1;
         remaining := !remaining - b.b_ilen;
         match exec_block t m b ctx with
         | Bx_stop s ->
           result := Some s;
-          running := false
-        | Bx_next pc' -> ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc'
-        | Bx_pcc -> ()
-      end
+          running := false;
+          chaining := false
+        | Bx_next pc' ->
+          (match chain_succ t m b pc' with
+           | Some nb when enterable ctx nb ~fuel:!remaining ~pcc_known:true ->
+             t.chained <- t.chained + 1;
+             cur := nb
+           | _ ->
+             ctx.Cpu.pcc <- Cap.set_addr ctx.Cpu.pcc pc';
+             chaining := false)
+        | Bx_pcc ->
+          (match cjump_succ t m b (Cap.addr ctx.Cpu.pcc) with
+           | Some nb when enterable ctx nb ~fuel:!remaining ~pcc_known:false ->
+             t.chained <- t.chained + 1;
+             cur := nb
+           | _ -> chaining := false)
+      done
     | _ ->
       t.step_falls <- t.step_falls + 1;
       decr remaining;

@@ -252,27 +252,7 @@ let exec_image k (p : Proc.t) ~abi ~(image : Sobj.image) ~argv ~envv =
   (match k.Kstate.config.Kstate.fact_provider with
    | Some f ->
      let code = List.map (fun (base, _, insns) -> (base, insns)) p.Proc.code in
-     (* Linkage view for the provider's interprocedural layer: function
-        entry points (exec entry + every exported function) and the GOT
-        map (byte offset -> resolved function address). Sorted so the
-        provider's caches can key on them structurally. *)
-     let entries =
-       link.Rtld.lk_entry
-       :: Hashtbl.fold
-            (fun _ d acc ->
-              match d with Rtld.Dfunc (_, a) -> a :: acc | _ -> acc)
-            link.Rtld.lk_symtab []
-       |> List.sort_uniq compare
-     in
-     let got =
-       List.filter_map
-         (fun (name, off) ->
-           match Hashtbl.find_opt link.Rtld.lk_symtab name with
-           | Some (Rtld.Dfunc (_, a)) -> Some (off, a)
-           | _ -> None)
-         link.Rtld.lk_got
-       |> List.sort compare
-     in
+     let entries, got = Rtld.linkage_view link in
      p.Proc.facts <- Some (f ~image ~ddc:ctx.Cpu.ddc ~entries ~got code);
      p.Proc.facts_gen <-
        Cheri_vm.Pmap.generation (Addr_space.pmap p.Proc.asp);

@@ -64,7 +64,7 @@ type config = {
 }
 
 let default_config () =
-  { (* Chaining block engine by default: bit-identical to Step/Block (the
+  { (* Chaining block engine by default: bit-identical to Step (the
        differential fuzzer and kernel parity tests enforce it), so every
        workload run in the suite also exercises the chained paths. *)
     engine = Cpu.Chain;
@@ -124,29 +124,38 @@ type t = {
   mutable console_echo : bool;
 }
 
+(* Machine reset: the primordial capability. *)
+let reset_root = Cap.make_root ~base:0 ~top:(1 lsl 48) ()
+
+(* Kernel startup: deliberate narrowing (§3, "Kernel startup") of the
+   reset root to the user range, without System_regs. Every address
+   space is rooted here, and legacy processes run with it as DDC. *)
+let user_root =
+  Cap.and_perms
+    (Cap.set_bounds
+       (Cap.set_addr reset_root Addr_space.user_base_default)
+       ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
+    (Perms.diff Perms.all Perms.system_regs)
+
+(* The DDC exec installs for a process of [abi]: NULL under CheriABI —
+   the heart of the ABI — and the user root on legacy MIPS. Static
+   analyses of an image assume the same. *)
+let initial_ddc = function
+  | Abi.Cheriabi -> Cap.null
+  | Abi.Mips64 | Abi.Asan -> user_root
+
 let boot ?(mem_size = 64 * 1024 * 1024) ?l2_size () =
   let mem = Tagmem.create ~size:mem_size in
   let phys = Phys.create mem in
   let swap = Swap.create () in
   let hier = Cache.create_hierarchy ?l2_size () in
   let machine = Cpu.create_machine ~mem ~hier in
-  (* Machine reset: the primordial capability. *)
-  let reset_root = Cap.make_root ~base:0 ~top:(1 lsl 48) () in
-  (* Kernel startup: deliberate narrowing (§3, "Kernel startup"). *)
-  let user_root =
-    Cap.and_perms
-      (Cap.set_bounds
-         (Cap.set_addr reset_root Addr_space.user_base_default)
-         ~len:(Addr_space.user_top_default - Addr_space.user_base_default))
-      (Perms.diff Perms.all Perms.system_regs)
-  in
-  let kernel_root = reset_root in
   { mem; phys; swap; machine;
     bb = Cheri_isa.Bbcache.create (); bb_owner = -1;
     procs = Hashtbl.create 16; runq = [];
     vfs = Vfs.create ();
     next_pid = 1;
-    kernel_root; user_root;
+    kernel_root = reset_root; user_root;
     shm = Hashtbl.create 8; next_shm_id = 1;
     tracer = None; trace_pid = None;
     rt_handler = None;

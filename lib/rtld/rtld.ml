@@ -252,6 +252,33 @@ let initialize t ~root ~writers ?tracer () =
          writers.w_cap (t.lk_got_base + off) c)
        t.lk_got)
 
+(* The linkage view the capability analysis consumes: function entry
+   points (the exec entry plus every exported function) and the GOT map
+   (byte offset -> resolved function address), which lets the CFG turn
+   CJALR through a constant GOT slot into a real call edge. Both sorted,
+   so analysis caches can key on them structurally. *)
+let linkage_view t =
+  let entries =
+    t.lk_entry
+    :: Hashtbl.fold
+         (fun _ def acc ->
+           match def with
+           | Dfunc (_, addr) -> addr :: acc
+           | Ddata _ | Dtls _ -> acc)
+         t.lk_symtab []
+    |> List.sort_uniq compare
+  in
+  let got =
+    List.filter_map
+      (fun (name, off) ->
+        match Hashtbl.find_opt t.lk_symtab name with
+        | Some (Dfunc (_, addr)) -> Some (off, addr)
+        | _ -> None)
+      t.lk_got
+    |> List.sort compare
+  in
+  (entries, got)
+
 (* Capability for the GOT itself (installed in $cgp at exec). *)
 let cgp_cap t ~root =
   let c = Cap.set_addr root t.lk_got_base in

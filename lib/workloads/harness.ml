@@ -31,9 +31,9 @@ let status_string m =
 
 (* Run [src] (linked against libc) under [abi] and measure. [engine]
    selects the interpreter (default: the kernel config's default, i.e. the
-   block engine); [quantum] overrides the scheduler timeslice, which the
+   chain engine); [quantum] overrides the scheduler timeslice, which the
    engine-parity tests use to force mid-block preemption; [elide] installs
-   the abstract interpreter as the kernel's fact provider, so the block
+   the abstract interpreter as the kernel's fact provider, so the chain
    engine compiles out statically proved capability checks (the metrics
    must nevertheless be bit-identical — eliding a proved check is a pure
    no-op). *)

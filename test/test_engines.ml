@@ -1,19 +1,19 @@
-(* Engine equivalence: the decoded basic-block engine (Bbcache) must be
-   observationally identical to the reference step interpreter (Cpu.step).
+(* Engine equivalence: the decoded basic-block engine with superblock
+   chaining (Bbcache) must be observationally identical to the reference
+   step interpreter (Cpu.step).
 
    Two layers of evidence:
 
    1. A differential fuzzer over seeded random programs — arithmetic,
       branches, capability derivation, loads/stores of data and
-      capabilities, sealing, traps, syscalls — executed seven ways (step;
-      block in one run; block in small fuel chunks, which forces mid-block
-      preemption and resume; block with the abstract interpreter's
-      proved-safe capability checks elided, with the fact table computed
-      both eagerly and lazily per superblock; block with superblock
-      chaining; chaining with elision) on identical fresh machines. The
-      full observable state is compared: every GPR and capability
-      register, PCC, DDC, instret, cycles, the stop reason, per-level
-      cache hit/miss counters, memory bytes and tag placement.
+      capabilities, sealing, traps, syscalls — executed five ways (step;
+      chain in one run; chain in prime-sized fuel chunks, which forces
+      mid-block preemption and resume; chain with the abstract
+      interpreter's proved-safe capability checks elided, with the fact
+      table computed both eagerly and lazily per superblock) on identical
+      fresh machines. The full observable state is compared: every GPR and
+      capability register, PCC, DDC, instret, cycles, the stop reason,
+      per-level cache hit/miss counters, memory bytes and tag placement.
 
    2. Kernel-level parity: a compiled program run end-to-end through the
       scheduler under every engine (including with a tiny prime quantum so
@@ -268,72 +268,48 @@ let run_step insns seed =
   let stop = Cpu.run m ctx ~fuel in
   snapshot stop m ctx mem
 
-let run_block insns seed =
-  let m, ctx, mem = setup insns seed in
-  let bb = Bbcache.create () in
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
-(* Elided: block engine consuming the abstract interpreter's proved-safe
-   facts (computed against the same initial DDC the machine starts with),
-   so provably-passing capability checks are compiled out. Eliding a check
-   is a pure no-op when the proof is right, so the full snapshot — down to
-   cycle and cache counters — must still match the step engine exactly. *)
-let run_block_elide insns seed =
-  let m, ctx, mem = setup insns seed in
-  let facts =
-    Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
-(* Lazy facts: the same elision contract, but the fact table is a
-   pull-through — each superblock's fixpoint runs the first time the block
-   engine decodes that entry pc, instead of up front for every pc. The
-   resolved masks must be identical to the eager scan's, so the full
-   snapshot must again match the step engine bit for bit. *)
-let run_block_lazy insns seed =
-  let m, ctx, mem = setup insns seed in
-  let facts =
-    Cheri_analysis.Absint.lazy_facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
-  in
-  let bb = Bbcache.create () in
-  Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run bb m ctx ~fuel in
-  snapshot stop m ctx mem
-
 (* Chained: the block engine with superblock chaining and inline caches —
    block exits resolve their successor through patched links and enter it
    directly, deferring the PCC commit until the chain breaks. Chaining is
    pure dispatch elision, so the full snapshot must match step exactly. *)
-let run_block_chain insns seed =
+let run_chain insns seed =
   let m, ctx, mem = setup insns seed in
   let bb = Bbcache.create () in
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel in
+  let stop = Bbcache.run bb m ctx ~fuel in
   snapshot stop m ctx mem
 
-(* Chaining and check elision composed: chained entries must consult the
-   fact table exactly as dispatch-loop entries do (facts are keyed by
-   superblock entry pc and conditional only on the straight-line prefix,
-   so they hold however control arrives). *)
-let run_block_chain_elide insns seed =
+(* Elided: the chain engine consuming the abstract interpreter's
+   proved-safe facts (computed against the same initial DDC the machine
+   starts with), so provably-passing capability checks are compiled out,
+   and tier-3 certificates fuse line groups and batch same-line probes.
+   Eliding a check is a pure no-op when the proof is right, so the full
+   snapshot — down to cycle and cache counters — must still match the step
+   engine exactly. Chained entries must consult the fact table exactly as
+   dispatch-loop entries do (facts are keyed by superblock entry pc and
+   conditional only on the straight-line prefix, so they hold however
+   control arrives).
+
+   [lazy_facts] makes the fact table a pull-through: each superblock's
+   fixpoint runs the first time the engine decodes that entry pc, instead
+   of up front for every pc. The resolved facts must be identical to the
+   eager scan's, so the snapshot must again match step bit for bit. *)
+let run_chain_elide ~lazy_facts insns seed =
   let m, ctx, mem = setup insns seed in
   let facts =
-    Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
-      [ (code_base, insns) ]
+    (if lazy_facts then Cheri_analysis.Absint.lazy_facts_of_code
+     else Cheri_analysis.Absint.facts_of_code)
+      ~ddc:ctx.Cpu.ddc [ (code_base, insns) ]
   in
   let bb = Bbcache.create () in
   Bbcache.set_facts bb (Some facts);
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel in
+  let stop = Bbcache.run bb m ctx ~fuel in
   snapshot stop m ctx mem
 
-(* Chunked: total fuel identical, but split so quantum expiry lands
-   mid-block and the engine must fall back to exact single-stepping. *)
-let run_block_chunked insns seed ~chunk =
+(* Chunked: total fuel identical, but split into prime-sized chunks so
+   quantum expiry lands mid-block and at chain-internal block boundaries,
+   and the engine must fall back to exact single-stepping and resume
+   through the dispatch loop. *)
+let run_chain_chunked insns seed ~chunk =
   let m, ctx, mem = setup insns seed in
   let bb = Bbcache.create () in
   let remaining = ref fuel in
@@ -351,15 +327,13 @@ let test_fuzz_engines () =
   for seed = 1 to programs do
     let insns, rnd = gen_program (seed * 7919) in
     let s_step = run_step insns seed in
-    let s_block = run_block insns seed in
-    let s_elide = run_block_elide insns seed in
-    let s_lazy = run_block_lazy insns seed in
-    let s_chain = run_block_chain insns seed in
-    let s_chain_elide = run_block_chain_elide insns seed in
-    let chunk = 3 + rnd 7 in
-    let s_chunk = run_block_chunked insns seed ~chunk in
-    if s_step <> s_block || s_step <> s_chunk || s_step <> s_elide
-       || s_step <> s_lazy || s_step <> s_chain || s_step <> s_chain_elide
+    let s_chain = run_chain insns seed in
+    let chunk = [| 3; 5; 7; 11; 13 |].(rnd 5) in
+    let s_chunk = run_chain_chunked insns seed ~chunk in
+    let s_elide = run_chain_elide ~lazy_facts:false insns seed in
+    let s_lazy = run_chain_elide ~lazy_facts:true insns seed in
+    if s_step <> s_chain || s_step <> s_chunk || s_step <> s_elide
+       || s_step <> s_lazy
     then begin
       incr mismatches;
       let dump =
@@ -371,11 +345,10 @@ let test_fuzz_engines () =
              insns))
       in
       Printf.printf
-        "seed %d diverged (chunk=%d)\n--- step ---\n%s\n--- block ---\n%s\n\
-         --- chunked ---\n%s\n--- elided ---\n%s\n--- lazy ---\n%s\n\
-         --- chain ---\n%s\n--- chain+elide ---\n%s\n--- program ---\n%s\n"
-        seed chunk s_step s_block s_chunk s_elide s_lazy s_chain
-        s_chain_elide dump
+        "seed %d diverged (chunk=%d)\n--- step ---\n%s\n--- chain ---\n%s\n\
+         --- chunked ---\n%s\n--- chain+elide ---\n%s\n\
+         --- chain+elide (lazy) ---\n%s\n--- program ---\n%s\n"
+        seed chunk s_step s_chain s_chunk s_elide s_lazy dump
     end
   done;
   Alcotest.(check int) "engines agree on all seeded programs" 0 !mismatches
@@ -402,7 +375,7 @@ let test_pcc_midblock_bounds () =
           else Bbcache.run (Bbcache.create ()) m ctx ~fuel
         in
         snapshot stop m ctx mem)
-      [ `Step; `Block ]
+      [ `Step; `Chain ]
   in
   match results with
   | [ a; b ] -> Alcotest.(check string) "prefix executes, then faults" a b
@@ -430,7 +403,7 @@ let chain_vs_step ?(name = "chain matches step") ?(run_fuel = fuel)
   let bb = Bbcache.create () in
   let facts = Option.map (fun f -> f ctx) facts_of in
   (match facts with Some f -> Bbcache.set_facts bb (Some f) | None -> ());
-  let stop = Bbcache.run ~chain:true bb m ctx ~fuel:run_fuel in
+  let stop = Bbcache.run bb m ctx ~fuel:run_fuel in
   let s_chain = snapshot stop m ctx mem in
   Alcotest.(check string) name s_step s_chain;
   (bb, Bbcache.chain_stats bb, ctx, facts, stop)
@@ -596,7 +569,7 @@ let test_chain_fuel_boundaries () =
     let stop_s = Cpu.run m_s ctx_s ~fuel:f in
     let s_step = snapshot stop_s m_s ctx_s mem_s in
     let m, ctx, mem = setup insns 9 in
-    let stop = Bbcache.run ~chain:true (Bbcache.create ()) m ctx ~fuel:f in
+    let stop = Bbcache.run (Bbcache.create ()) m ctx ~fuel:f in
     let s_chain = snapshot stop m ctx mem in
     Alcotest.(check string) (Printf.sprintf "fuel=%d" f) s_step s_chain
   done;
@@ -609,7 +582,7 @@ let test_chain_fuel_boundaries () =
   let remaining = ref 500 in
   while !stop = None && !remaining > 0 do
     let f = min 37 !remaining in
-    stop := Bbcache.run ~chain:true bb m ctx ~fuel:f;
+    stop := Bbcache.run bb m ctx ~fuel:f;
     remaining := !remaining - f
   done;
   let s_chunked = snapshot !stop m ctx mem in
@@ -743,7 +716,7 @@ let test_chain_fuel_mid_fused_group () =
     let m, ctx, mem = setup insns 11 in
     let bb = Bbcache.create () in
     Bbcache.set_facts bb (Some (facts_of ctx));
-    let stop = Bbcache.run ~chain:true bb m ctx ~fuel:f in
+    let stop = Bbcache.run bb m ctx ~fuel:f in
     Alcotest.(check string) (Printf.sprintf "fused fuel=%d" f)
       s_step (snapshot stop m ctx mem)
   done;
@@ -753,7 +726,7 @@ let test_chain_fuel_mid_fused_group () =
   let stop = ref None and remaining = ref 500 in
   while !stop = None && !remaining > 0 do
     let f = min 37 !remaining in
-    stop := Bbcache.run ~chain:true bb m ctx ~fuel:f;
+    stop := Bbcache.run bb m ctx ~fuel:f;
     remaining := !remaining - f
   done;
   let m_s, ctx_s, mem_s = setup insns 11 in
@@ -765,6 +738,39 @@ let test_chain_fuel_mid_fused_group () =
     (st.Bbcache.ch_fused_groups > 0);
   Alcotest.(check bool) "tail probes batched" true
     (st.Bbcache.ch_batched > 0)
+
+(* Tier-3 run placement: the same certified same-line access runs — a
+   read pair, then a write pair, through c1 — placed inside one 64-byte
+   data line and across a line boundary. The analysis proves only the
+   deltas; the head proves the placement at runtime. Inside a line each
+   head publishes its physical address and its tail takes the batched-hit
+   path; across the boundary each head publishes -1 and its tail runs the
+   exact translate + probe sequence. Both placements must match step's
+   full snapshot. *)
+let test_chain_run_line_straddle () =
+  let prog off =
+    [| Insn.CLoad { w = 8; signed = false; rd = 10; cb = 1; off };
+       Insn.CLoad { w = 8; signed = false; rd = 11; cb = 1; off = off + 8 };
+       Insn.CStore { w = 8; rs = 11; cb = 1; off };
+       Insn.CStore { w = 8; rs = 10; cb = 1; off = off + 8 };
+       Insn.Break 0 |]
+  in
+  List.iter
+    (fun (name, off, batched) ->
+      let insns = prog off in
+      let facts_of ctx =
+        Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
+          [ (code_base, insns) ]
+      in
+      let _, st, _, facts, _ = chain_vs_step ~name ~facts_of insns in
+      let cert = Facts.cert (Option.get facts) code_base in
+      Alcotest.(check int) (name ^ ": both runs certified") 2
+        (Array.length cert.Facts.ct_runs);
+      Alcotest.(check int) (name ^ ": batched tail probes") batched
+        st.Bbcache.ch_batched)
+    (* c1 starts line-aligned at data_base: [16, 32) sits inside the first
+       line, [56, 72) straddles the boundary at 64. *)
+    [ "run inside one line", 16, 2; "run across a line boundary", 56, 0 ]
 
 (* mprotect between two runs of a chained hot loop must sever every chain
    link: the pmap generation bump flushes the decoded blocks, and the
@@ -900,8 +906,7 @@ let check_parity ?quantum abi =
       Alcotest.(check int) (label ^ ": instructions") i1 i2;
       Alcotest.(check int) (label ^ ": cycles") c1 c2;
       Alcotest.(check int) (label ^ ": L2 misses") l1 l2)
-    [ "block", Cpu.Block, false;
-      "chain", Cpu.Chain, false;
+    [ "chain", Cpu.Chain, false;
       "chain+elide", Cpu.Chain, true ]
 
 let test_kernel_parity () =
@@ -933,7 +938,7 @@ let test_counter_reset_on_new_facts () =
   Bbcache.set_facts bb (Some facts_a);
   (* The loop must run to its Break terminator (surfaced as a trap), not
      die early on the guarded load. *)
-  (match Bbcache.run ~chain:true bb m ctx ~fuel with
+  (match Bbcache.run bb m ctx ~fuel with
    | Some (Cpu.Stop_trap (Trap.Break_trap _)) -> ()
    | r -> Alcotest.failf "loop program stopped early: %s" (stop_str r));
   Alcotest.(check bool) "chain entries accumulated" true
@@ -966,6 +971,51 @@ let test_counter_reset_on_new_facts () =
   Alcotest.(check int) "new facts reset megamorphic falls" 0
     bb.Bbcache.ic_mega
 
+(* Deterministic allocation gate: OCaml minor-heap words allocated while
+   running network-patricia under CheriABI, measured around
+   [Kernel.run_program] only (after boot and compile), on this one domain,
+   with a cold fact cache. Allocation per simulated instruction is the GC
+   pressure that limits multi-domain scaling, and unlike host time it
+   repeats exactly from run to run, so each engine gets a ceiling that a
+   regression cannot slip under. The ceilings are the values measured
+   when the gate was introduced. *)
+let patricia_minor_words ~engine ~elide =
+  let image =
+    Stdlib_src.build_image ~abi:Abi.Cheriabi ~name:"network-patricia"
+      Cheri_workloads.Mibench.network_patricia
+  in
+  Cheri_analysis.Absint.clear_fact_cache ();
+  let k = Kernel.boot () in
+  k.Kstate.config.Kstate.engine <- engine;
+  if elide then
+    k.Kstate.config.Kstate.fact_provider <-
+      Some (Cheri_analysis.Absint.provider ());
+  Cheri_libc.Runtime.install k;
+  Cheri_kernel.Vfs.add_exe k.Kstate.vfs "/bin/bench" ~abi:Abi.Cheriabi image;
+  let w0 = Gc.minor_words () in
+  let status, _, p =
+    Kernel.run_program k ~path:"/bin/bench" ~argv:[ "bench" ]
+  in
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  (match status with
+   | Some (Proc.Exited 0) -> ()
+   | _ -> Alcotest.fail "network-patricia did not exit cleanly");
+  (words, p.Proc.ctx.Cpu.instret)
+
+let test_minor_words_gate () =
+  List.iter
+    (fun (name, engine, elide, ceiling) ->
+      let words, insns = patricia_minor_words ~engine ~elide in
+      Printf.printf "%s: %d minor words, %d insns, %.2f words/insn\n" name
+        words insns
+        (float_of_int words /. float_of_int insns);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d minor words <= ceiling %d" name words ceiling)
+        true (words <= ceiling))
+    [ "step", Cpu.Step, false, 35_314_142;
+      "chain", Cpu.Chain, false, 8_198_198;
+      "chain+elide", Cpu.Chain, true, 9_472_270 ]
+
 let test_kernel_parity_tiny_quantum () =
   (* A prime quantum far below block size: almost every timeslice ends
      mid-block, so the fuel fallback path carries real weight. *)
@@ -986,7 +1036,10 @@ let suite =
     test_chain_fused_trap_attribution;
     "chain: fuel expiry mid-fused-group", `Quick,
     test_chain_fuel_mid_fused_group;
+    "chain: run across a line boundary", `Quick,
+    test_chain_run_line_straddle;
     "chain: mprotect severs chains", `Quick, test_chain_mprotect_severs;
     "counter reset on new facts", `Quick, test_counter_reset_on_new_facts;
     "kernel parity", `Quick, test_kernel_parity;
-    "kernel parity, tiny quantum", `Quick, test_kernel_parity_tiny_quantum ]
+    "kernel parity, tiny quantum", `Quick, test_kernel_parity_tiny_quantum;
+    "minor words per engine (patricia)", `Quick, test_minor_words_gate ]
