@@ -353,6 +353,47 @@ let simulator () =
   in
   List.iter run [ cap_test; tag_test; compile_test; exec_test ]
 
+(* --- Measurement: engine, fleet and malloc ------------------------------------------------------------ *)
+
+module Bb = Cheri_isa.Bbcache
+module J = Cheri_core.Json
+module Fleet = Cheri_fleet.Fleet
+
+let opt_json = ref false
+let opt_smoke = ref false
+let opt_domains = ref 4
+
+(* Top-level members of BENCH_simulator.json from every subcommand run in
+   this process; the driver writes the file once, after the last one. *)
+let json_members = ref []
+let emit members = json_members := !json_members @ members
+
+(* Every recorded figure carries three decimals. *)
+let num x = J.Float (Float.round (x *. 1000.0) /. 1000.0)
+
+let count n what = Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s")
+
+(* [interleave ~reps ~insns legs] runs [reps] rounds of one pass of each
+   leg in turn and returns every leg's passes in run order. Comparisons
+   between legs are between near-equal quantities, so they must not be
+   decided by host drift: interleaving shares any stall between the legs
+   compared. A leg whose retired-instruction count ([insns]) changes
+   between passes breaks the determinism contract and fails the run. *)
+let interleave ~reps ~insns legs =
+  let passes = List.map (fun _ -> ref []) legs in
+  for _ = 1 to reps do
+    List.iter2
+      (fun (name, run) acc ->
+        let p = run () in
+        if List.exists (fun p0 -> insns p0 <> insns p) !acc then
+          failwith
+            (Printf.sprintf "%s: a repeated pass retired %d insns, not %d"
+               name (insns p) (insns (List.hd !acc)));
+        acc := p :: !acc)
+      legs passes
+  done;
+  List.map (fun acc -> List.rev !acc) passes
+
 (* --- Execution-engine throughput (docs/INTERP.md) ----------------------------------------------------
 
    Host wall-clock comparison of the interpreters over the Fig. 4 /
@@ -364,10 +405,48 @@ let simulator () =
    the same instruction count (bit-identical contract), which the run
    asserts. *)
 
-let opt_json = ref false
-let opt_smoke = ref false
+type leg = {
+  name : string;
+  insns : int;                          (* retired by one pass *)
+  secs : float list;                    (* host seconds of every pass *)
+  ch : Bb.chain_stats;
+  checked : int;                        (* check_cap probes run checked *)
+  elided : int;                         (* ... and as check-free closures *)
+}
+
+let find_leg legs name = List.find (fun l -> l.name = name) legs
+
+let mips insns secs = float_of_int insns /. secs /. 1e6
+
+(* Best-of passes: the statistic every gate and recorded speedup uses. *)
+let best_secs l = List.fold_left Float.min infinity l.secs
+let sim_mips l = mips l.insns (best_secs l)
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+
+(* Chain length = blocks executed per dispatch-loop entry; IC hit rate =
+   inline-cache key matches over all keyed (non-fall-through) lookups;
+   elide rate = of the check_cap probes executed by compiled blocks, the
+   share run as check-free closures (tier-1 facts plus guarded facts whose
+   entry guard held). *)
+let chain_len (ch : Bb.chain_stats) =
+  ratio (ch.ch_entries + ch.ch_chained) ch.ch_entries
+
+let ic_rate (ch : Bb.chain_stats) =
+  ratio ch.ch_ic_hits (ch.ch_ic_hits + ch.ch_ic_misses + ch.ch_ic_mega)
+
+let dtlb_rate (ch : Bb.chain_stats) =
+  ratio ch.ch_dtlb_hits (ch.ch_dtlb_hits + ch.ch_dtlb_misses)
+
+let elide_rate l = ratio l.elided (l.checked + l.elided)
 
 let engine_bench () =
+  let module K = Cheri_kernel in
   header "Execution-engine throughput: step vs chain (host wall-clock)";
   let workloads =
     if !opt_smoke then [ List.hd Mibench.benchmarks ] else Mibench.benchmarks
@@ -391,19 +470,13 @@ let engine_bench () =
              ~extra_libs:[ "libssl", Openssl_sim.libssl_src ]
              Openssl_sim.server_src ) ])
   in
-  (* One full pass over the mix. The fact cache is deliberately NOT cleared
-     here: within a leg, passes after the first hit the image-keyed cache, so
-     best-of-N measures the amortized (steady-state) cost of elision rather
-     than the one-off analysis of a cold cache. *)
   let zero_ch =
-    { Cheri_isa.Bbcache.ch_entries = 0; ch_chained = 0;
-      ch_ic_hits = 0; ch_ic_misses = 0; ch_ic_mega = 0;
-      ch_dtlb_hits = 0; ch_dtlb_misses = 0;
+    { Bb.ch_entries = 0; ch_chained = 0; ch_ic_hits = 0; ch_ic_misses = 0;
+      ch_ic_mega = 0; ch_dtlb_hits = 0; ch_dtlb_misses = 0;
       ch_fused_groups = 0; ch_fused_insns = 0; ch_batched = 0 }
   in
-  let add_ch a b =
-    let open Cheri_isa.Bbcache in
-    { ch_entries = a.ch_entries + b.ch_entries;
+  let add_ch (a : Bb.chain_stats) (b : Bb.chain_stats) =
+    { Bb.ch_entries = a.ch_entries + b.ch_entries;
       ch_chained = a.ch_chained + b.ch_chained;
       ch_ic_hits = a.ch_ic_hits + b.ch_ic_hits;
       ch_ic_misses = a.ch_ic_misses + b.ch_ic_misses;
@@ -414,687 +487,359 @@ let engine_bench () =
       ch_fused_insns = a.ch_fused_insns + b.ch_fused_insns;
       ch_batched = a.ch_batched + b.ch_batched }
   in
-  let run_pass ~elide engine =
-    List.fold_left
-      (fun (insns, secs, ch, checked, elided) (label, abi, argv, image) ->
-        let k = Cheri_kernel.Kernel.boot () in
-        k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.engine <- engine;
-        if elide then
-          k.Cheri_kernel.Kstate.config.Cheri_kernel.Kstate.fact_provider <-
-            Some (Cheri_analysis.Absint.provider ());
-        Cheri_libc.Runtime.install k;
-        Cheri_kernel.Vfs.add_exe k.Cheri_kernel.Kstate.vfs "/bin/bench" ~abi
-          image;
-        let t0 = Unix.gettimeofday () in
-        let status, _out, p =
-          Cheri_kernel.Kernel.run_program k ~path:"/bin/bench" ~argv
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (match status with
-         | Some _ -> ()
-         | None -> failwith (Printf.sprintf "engine bench: %s ran away" label));
-        let bb = k.Cheri_kernel.Kstate.bb in
-        ( insns + p.Cheri_kernel.Proc.ctx.Cheri_isa.Cpu.instret,
-          secs +. dt,
-          add_ch ch (Cheri_isa.Bbcache.chain_stats bb),
-          checked + bb.Cheri_isa.Bbcache.checked_probes,
-          elided + bb.Cheri_isa.Bbcache.elided_probes ))
-      (0, 0.0, zero_ch, 0, 0) images
-  in
-  (* Host wall-clock is noisy at the few-percent level, which is the same
-     order as the elision win: take the best of [reps] passes per leg so the
-     chain vs chain+elide comparison (and the @bench-smoke gate built on it)
-     is not decided by scheduler jitter. *)
-  let run_engine ~elide ~reps engine =
-    Cheri_analysis.Absint.reset_stats ();
-    Cheri_analysis.Absint.clear_fact_cache ();
-    let rec go n acc =
-      if n = 0 then acc
-      else begin
-        let i, s, ch, cp, ep = run_pass ~elide engine in
-        (match acc with
-         | Some (i0, _, _, _, _) when i0 <> i ->
-           failwith
-             (Printf.sprintf
-                "engine bench: repeated pass retired %d insns, expected %d" i
-                i0)
-         | _ -> ());
-        let best =
-          match acc with Some (_, s0, _, _, _) -> Float.min s0 s | None -> s
-        in
-        (* The chain stats (and probe counts) are deterministic across passes
-           of one leg (same images, same schedule), so keeping the latest
-           pass's totals is keeping any pass's. *)
-        go (n - 1) (Some (i, best, ch, cp, ep))
-      end
+  (* One full pass over the mix. The fact cache is deliberately NOT cleared
+     here: within a leg, passes after the first hit the image-keyed cache, so
+     best-of-N measures the amortized (steady-state) cost of elision rather
+     than the one-off analysis of a cold cache. The chain stats and probe
+     counts are deterministic across passes of one leg, so a leg keeps its
+     last pass's. *)
+  let run_pass (name, elide, engine) () =
+    let l, secs =
+      List.fold_left
+        (fun (l, secs) (label, abi, argv, image) ->
+          let k = K.Kernel.boot () in
+          k.K.Kstate.config.K.Kstate.engine <- engine;
+          if elide then
+            k.K.Kstate.config.K.Kstate.fact_provider <-
+              Some (Cheri_analysis.Absint.provider ());
+          Cheri_libc.Runtime.install k;
+          K.Vfs.add_exe k.K.Kstate.vfs "/bin/bench" ~abi image;
+          let t0 = Unix.gettimeofday () in
+          let status, _out, p = K.Kernel.run_program k ~path:"/bin/bench" ~argv in
+          let dt = Unix.gettimeofday () -. t0 in
+          if status = None then
+            failwith (Printf.sprintf "engine bench: %s ran away" label);
+          let bb = k.K.Kstate.bb in
+          ( { l with
+              insns = l.insns + p.K.Proc.ctx.Cheri_isa.Cpu.instret;
+              ch = add_ch l.ch (Bb.chain_stats bb);
+              checked = l.checked + bb.Bb.checked_probes;
+              elided = l.elided + bb.Bb.elided_probes },
+            secs +. dt ))
+        ({ name; insns = 0; secs = []; ch = zero_ch; checked = 0; elided = 0 }, 0.0)
+        images
     in
-    match go reps None with
-    | Some r -> r
-    | None -> assert false
+    { l with secs = [ secs ] }
   in
-  (* The elide-vs-plain comparisons (and the @bench-smoke gates built on
-     them) are between near-equal quantities, so they must not be decided
-     by host drift: a brief stall that lands entirely inside one leg
-     shows up as a fake multi-percent regression. [run_engine_pair]
-     therefore interleaves single passes of the two legs round-robin —
-     any stall is shared by both sides of the comparison — and takes each
-     leg's best pass, with one stats/fact-cache epoch for the pair (the
-     non-elide leg installs no provider, so the analysis counters after a
-     pair describe its elide leg alone, exactly as before). *)
-  let run_engine_pair ~reps (name_a, eng_a, elide_a) (name_b, eng_b, elide_b) =
+  (* One analysis-stats and fact-cache epoch per call: the non-elide legs
+     install no provider, so the analysis counters after the last call
+     describe its elide leg alone. *)
+  let sample ~reps legs =
     Cheri_analysis.Absint.reset_stats ();
     Cheri_analysis.Absint.clear_fact_cache ();
-    let best = [| None; None |] in
-    for _ = 1 to reps do
-      List.iteri
-        (fun idx (elide, engine) ->
-          let i, s, ch, cp, ep = run_pass ~elide engine in
-          (match best.(idx) with
-           | Some (i0, _, _, _, _) when i0 <> i ->
-             failwith
-               (Printf.sprintf
-                  "engine bench: repeated pass retired %d insns, expected %d"
-                  i i0)
-           | _ -> ());
-          let b =
-            match best.(idx) with
-            | Some (_, s0, _, _, _) -> Float.min s0 s
-            | None -> s
-          in
-          best.(idx) <- Some (i, b, ch, cp, ep))
-        [ (elide_a, eng_a); (elide_b, eng_b) ]
-    done;
-    match best with
-    | [| Some (ia, sa, cha, cpa, epa); Some (ib, sb, chb, cpb, epb) |] ->
-      [ name_a, ia, sa, cha, (cpa, epa); name_b, ib, sb, chb, (cpb, epb) ]
-    | _ -> assert false
+    List.map
+      (fun passes ->
+        { (List.nth passes (reps - 1)) with
+          secs = List.concat_map (fun p -> p.secs) passes })
+      (interleave ~reps ~insns:(fun l -> l.insns)
+         (List.map (fun ((name, _, _) as leg) -> name, run_pass leg) legs))
   in
   (* Smoke legs are ~40ms a pass, where a single descheduling event is a
      multi-percent outlier; best-of-7 there keeps the smoke gates from
      being decided by one noisy pass while staying under a second per
      leg. The full mix runs seconds per pass and keeps best-of-3. *)
   let reps = if !opt_smoke then 7 else 3 in
-  (* Sequenced with explicit lets: the analysis-stats epoch of the LAST
-     pair is read below, and [@]'s right-to-left argument evaluation
-     would otherwise run the chain pair first. *)
-  let step_leg =
-    let i, s, ch, cp, ep = run_engine ~elide:false ~reps:1 Cheri_isa.Cpu.Step in
-    [ "step", i, s, ch, (cp, ep) ]
-  in
+  (* Sequenced with explicit lets: the analysis-stats epoch of the chain
+     pair is read below, so it must run last. *)
+  let step = List.hd (sample ~reps:1 [ "step", false, Cheri_isa.Cpu.Step ]) in
   let chain_legs =
-    run_engine_pair ~reps
-      ("chain", Cheri_isa.Cpu.Chain, false)
-      ("chain+elide", Cheri_isa.Cpu.Chain, true)
+    sample ~reps
+      [ "chain", false, Cheri_isa.Cpu.Chain; "chain+elide", true, Cheri_isa.Cpu.Chain ]
   in
-  let legs = step_leg @ chain_legs in
-  (* Stats are reset at the start of every leg pair and only elide legs
-     touch them, so after the fold they describe the chain+elide leg
-     across all of its passes: the first pass misses once per exec and runs
-     the lazy superblock fixpoints; later passes hit the image-keyed cache
-     and analyze nothing. *)
-  let fc_hits, fc_misses, sb_eager, sb_lazy =
-    let s = Cheri_analysis.Absint.stats in
-    ( s.Cheri_analysis.Absint.cs_hits,
-      s.Cheri_analysis.Absint.cs_misses,
-      s.Cheri_analysis.Absint.cs_eager_sb,
-      s.Cheri_analysis.Absint.cs_lazy_sb )
-  in
+  let legs = step :: chain_legs in
+  let chain = find_leg legs "chain" and elide = find_leg legs "chain+elide" in
+  (* After the chain pair the stats describe the chain+elide leg across all
+     of its passes: the first pass misses once per exec and runs the lazy
+     superblock fixpoints; later passes hit the image-keyed cache and
+     analyze nothing. *)
+  let st = Cheri_analysis.Absint.stats in
   Printf.printf
     "fact cache (elide leg): %d hit%s, %d miss%s; superblocks analyzed: %d \
      eager, %d lazy\n"
-    fc_hits (if fc_hits = 1 then "" else "s")
-    fc_misses (if fc_misses = 1 then "" else "es")
-    sb_eager sb_lazy;
-  let mips insns secs = float_of_int insns /. secs /. 1e6 in
-  (* Chain length = blocks executed per dispatch-loop entry; IC hit rate =
-     inline-cache key matches over all keyed (non-fall-through) lookups. *)
-  let chain_len ch =
-    let open Cheri_isa.Bbcache in
-    if ch.ch_entries = 0 then 0.0
-    else
-      float_of_int (ch.ch_entries + ch.ch_chained)
-      /. float_of_int ch.ch_entries
-  in
-  let ic_rate ch =
-    let open Cheri_isa.Bbcache in
-    let total = ch.ch_ic_hits + ch.ch_ic_misses + ch.ch_ic_mega in
-    if total = 0 then 0.0
-    else float_of_int ch.ch_ic_hits /. float_of_int total
-  in
-  let dtlb_rate ch =
-    let open Cheri_isa.Bbcache in
-    let total = ch.ch_dtlb_hits + ch.ch_dtlb_misses in
-    if total = 0 then 0.0
-    else float_of_int ch.ch_dtlb_hits /. float_of_int total
-  in
-  (match List.find_opt (fun (n, _, _, _, _) -> n = "chain") legs with
-   | Some (_, _, _, ch, _) ->
-     Printf.printf
-       "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
-       ch.Cheri_isa.Bbcache.ch_dtlb_hits ch.Cheri_isa.Bbcache.ch_dtlb_misses
-       (100.0 *. dtlb_rate ch)
-   | None -> ());
-  (* Dynamic elide rate: of the check_cap probes executed by compiled
-     blocks, how many ran as check-free closures (tier-1 facts plus guarded
-     facts whose entry guard held). *)
-  let elide_rate (cp, ep) =
-    if cp + ep = 0 then 0.0 else float_of_int ep /. float_of_int (cp + ep)
-  in
+    st.cs_hits (if st.cs_hits = 1 then "" else "s")
+    st.cs_misses (if st.cs_misses = 1 then "" else "es")
+    st.cs_eager_sb st.cs_lazy_sb;
+  Printf.printf
+    "data-TLB (chain leg, 2x2 set-assoc): %d hits, %d misses (%.1f%% hit)\n"
+    chain.ch.ch_dtlb_hits chain.ch.ch_dtlb_misses (100.0 *. dtlb_rate chain.ch);
   Printf.printf "%-18s %14s %10s %10s %10s %8s %8s\n" "engine" "sim insns"
     "host s" "sim-MIPS/s" "chain-len" "IC-hit" "elided";
   List.iter
-    (fun (name, insns, secs, ch, pr) ->
-      let open Cheri_isa.Bbcache in
-      let el =
-        if fst pr + snd pr = 0 then "-"
-        else Printf.sprintf "%.1f%%" (100.0 *. elide_rate pr)
+    (fun l ->
+      let pct x = Printf.sprintf "%.1f%%" (100.0 *. x) in
+      let len, ic =
+        if l.ch.ch_entries = 0 then "-", "-"
+        else Printf.sprintf "%.2f" (chain_len l.ch), pct (ic_rate l.ch)
       in
-      if ch.ch_entries = 0 then
-        Printf.printf "%-18s %14d %10.3f %10.2f %10s %8s %8s\n" name insns secs
-          (mips insns secs) "-" "-" el
-      else
-        Printf.printf "%-18s %14d %10.3f %10.2f %10.2f %7.1f%% %8s\n" name
-          insns secs (mips insns secs) (chain_len ch) (100.0 *. ic_rate ch) el)
+      Printf.printf "%-18s %14d %10.3f %10.2f %10s %8s %8s\n" l.name l.insns
+        (best_secs l) (sim_mips l) len ic
+        (if l.checked + l.elided = 0 then "-" else pct (elide_rate l)))
     legs;
-  (match legs with
-   | (_, i1, s1, _, _) :: rest ->
-     List.iter
-       (fun (name, i, _, _, _) ->
-         if i <> i1 then
-           failwith
-             (Printf.sprintf
-                "engine parity violated: step retired %d insns, %s %d" i1 name
-                i))
-       rest;
-     let mips1 = mips i1 s1 in
-     List.iter
-       (fun (name, i, s, _, _) ->
-         Printf.printf "%s/step speedup: %.2fx (identical %d retired insns)\n"
-           name (mips i s /. mips1) i1)
-       rest;
-     (* Regression gates (wired into @bench-smoke). Two structural checks
-        on the image-keyed fact cache and lazy per-superblock analysis are
-        exact: the elide leg must have hit the fact cache on its warm
-        passes, and must not have fallen back to eager whole-image
-        analysis. *)
-     (if !opt_smoke then begin
-        if fc_hits = 0 then
-          failwith
-            "bench-smoke: elide leg never hit the fact cache on warm passes";
-        if sb_eager > 0 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: elide leg ran %d eager superblock fixpoints \
-                (expected lazy analysis only)" sb_eager);
-        let leg name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, i, s, _, _) -> mips i s
-          | None -> 0.0
-        in
-        let leg_ch name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, _, _, ch, _) -> ch
-          | None -> zero_ch
-        in
-        let leg_pr name =
-          match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-          | Some (_, _, _, _, pr) -> pr
-          | None -> (0, 0)
-        in
-        (* Chain gates: an inline-cache hit count of zero on this mix means
-           the links or inline caches stopped carrying the hot loops
-           (every workload has monomorphic hot back edges). *)
-        let c = leg "chain" in
-        let cch = leg_ch "chain" in
-        if cch.Cheri_isa.Bbcache.ch_ic_hits = 0 then
-          failwith "bench-smoke: chain leg never hit an inline cache";
-        if cch.Cheri_isa.Bbcache.ch_chained = 0 then
-          failwith "bench-smoke: chain leg never chained a block";
-        (* Elision on top of chaining must not cost throughput: with the
-           combined lazy resolver one scan serves both fact tiers, and the
-           chained hot path skips guard evaluation entirely for unguarded
-           blocks, so the elide leg runs strictly less work per hop than
-           plain chain. The regression class this hunts — analysis work
-           creeping back onto the exec path, concretely the guarded-fact
-           prescan re-running each superblock fixpoint a second time — is
-           gated EXACTLY via [cs_lazy_gsb]: the combined resolver keeps it
-           at 0, and any revival of the split-resolver shape trips it
-           deterministically, independent of host timing. (That original
-           regression cost 0.16% of throughput — an order of magnitude
-           below the ±5-8% jitter of these ~40ms legs even with paired
-           best-of-7 passes, so a wall-clock >= gate here would be a coin
-           flip while still missing the real thing. The throughput floor
-           below is a backstop against catastrophic regressions only.) *)
-        let gsb =
-          Cheri_analysis.Absint.stats.Cheri_analysis.Absint.cs_lazy_gsb
-        in
-        if gsb > 0 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: chain+elide leg re-ran %d guarded-tier \
-                fixpoints (the combined resolver must serve both tiers \
-                from one scan)" gsb);
-        let ce = leg "chain+elide" in
-        if ce < c *. 0.85 then
-          failwith
-            (Printf.sprintf
-               "bench-smoke: chain+elide regressed below chain (%.2f < 0.85 \
-                x %.2f sim-MIPS)" ce c);
-        (* The widened data-side TLB must actually serve the chain legs. *)
-        if cch.Cheri_isa.Bbcache.ch_dtlb_hits = 0 then
-          failwith "bench-smoke: chain leg never hit the data-side TLB";
-        (* Probe gates: the elide leg must actually execute check-free
-           closures; the non-elide leg must never see one. *)
-        if snd (leg_pr "chain+elide") = 0 then
-          failwith "bench-smoke: chain+elide leg executed no elided probes";
-        if snd (leg_pr "chain") <> 0 then
-          failwith "bench-smoke: non-elide leg executed elided probes";
-        (* Tier-3 gates: the chain+elide leg carries fact tables, so its
-           certified prefixes must actually fuse line groups and batch
-           same-line tail probes; the factless chain leg has no
-           certificates and must never fuse. All three are exact
-           structural counts, independent of host timing. *)
-        let cech = leg_ch "chain+elide" in
-        if cech.Cheri_isa.Bbcache.ch_fused_groups = 0 then
-          failwith "bench-smoke: chain+elide leg retired no fused groups";
-        if cech.Cheri_isa.Bbcache.ch_batched = 0 then
-          failwith "bench-smoke: chain+elide leg batched no data probes";
-        if cch.Cheri_isa.Bbcache.ch_fused_groups <> 0 then
-          failwith "bench-smoke: factless chain leg fused a group"
-        (* The chain+elide >= chain throughput relation itself is covered
-           by the 0.85-floor backstop above: on these ~40ms legs the
-           honest ratio sits within the host jitter band, so the exact
-           counters here — not a wall-clock coin flip — are what catch
-           fusion or batching being silently disabled. *)
-      end);
-     if !opt_json then begin
-       let speedup_of name =
-         match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-         | Some (_, i, s, _, _) -> mips i s /. mips1
-         | None -> 0.0
-       in
-       let chain_ch =
-         match
-           List.find_opt (fun (n, _, _, _, _) -> n = "chain") legs
-         with
-         | Some (_, _, _, ch, _) -> ch
-         | None -> zero_ch
-       in
-       (* Tier-3 counters live on the chain+elide leg: fusion and batched
-          probes require fact tables, which only the elide legs carry. *)
-       let ce_ch, ce_insns =
-         match
-           List.find_opt (fun (n, _, _, _, _) -> n = "chain+elide") legs
-         with
-         | Some (_, i, _, ch, _) -> ch, i
-         | None -> zero_ch, 0
-       in
-       let probes_of name =
-         match List.find_opt (fun (n, _, _, _, _) -> n = name) legs with
-         | Some (_, _, _, _, pr) -> pr
-         | None -> (0, 0)
-       in
-       let an_funcs, an_iters, an_checks, an_proved =
-         Cheri_analysis.Absint.ipa_totals ()
-       in
-       let oc = open_out "BENCH_simulator.json" in
-       Printf.fprintf oc
-         "{\n\
-         \  \"benchmark\": \"mibench+spec x {mips64,cheriabi} + openssl \
-          s_server\",\n\
-         \  \"engines\": [\n%s\n  ],\n\
-         \  \"speedup_chain_over_step\": %.3f,\n\
-         \  \"speedup_chain_elide_over_step\": %.3f,\n\
-         \  \"chain\": { \"entries\": %d, \"chained\": %d, \
-          \"avg_chain_length\": %.3f, \"ic_hits\": %d, \"ic_misses\": %d, \
-          \"ic_megamorphic\": %d, \"ic_hit_rate\": %.3f, \
-          \"dtlb_hits\": %d, \"dtlb_misses\": %d, \"dtlb_hit_rate\": %.3f },\n\
-         \  \"tier3\": { \"fused_groups\": %d, \"fused_insns\": %d, \
-          \"fused_insn_rate\": %.3f, \"batched_probes\": %d },\n\
-         \  \"fact_cache\": { \"hits\": %d, \"misses\": %d, \
-          \"superblocks_eager\": %d, \"superblocks_lazy\": %d, \
-          \"guarded_prescans\": %d },\n\
-         \  \"analysis\": { \"functions_summarized\": %d, \
-          \"fixpoint_iterations\": %d, \"checks_provable\": %d, \
-          \"checks_total\": %d },\n\
-         \  \"check_probes\": {\n\
-         \    \"chain_elide\": { \"checked\": %d, \"elided\": %d, \
-          \"elide_rate\": %.3f }\n\
-         \  }\n\
-          }\n"
-         (String.concat ",\n"
-            (List.map
-               (fun (name, insns, secs, ch, pr) ->
-                 let open Cheri_isa.Bbcache in
-                 Printf.sprintf
-                   "    { \"engine\": %S, \"instructions\": %d, \
-                    \"host_seconds\": %.3f, \"sim_mips\": %.3f, \
-                    \"chain_length\": %.3f, \"ic_hit_rate\": %.3f, \
-                    \"elide_rate\": %.3f }"
-                   name insns secs (mips insns secs)
-                   (if ch.ch_entries = 0 then 0.0 else chain_len ch)
-                   (ic_rate ch) (elide_rate pr))
-               legs))
-         (speedup_of "chain") (speedup_of "chain+elide")
-         chain_ch.Cheri_isa.Bbcache.ch_entries
-         chain_ch.Cheri_isa.Bbcache.ch_chained
-         (chain_len chain_ch)
-         chain_ch.Cheri_isa.Bbcache.ch_ic_hits
-         chain_ch.Cheri_isa.Bbcache.ch_ic_misses
-         chain_ch.Cheri_isa.Bbcache.ch_ic_mega
-         (ic_rate chain_ch)
-         chain_ch.Cheri_isa.Bbcache.ch_dtlb_hits
-         chain_ch.Cheri_isa.Bbcache.ch_dtlb_misses
-         (dtlb_rate chain_ch)
-         ce_ch.Cheri_isa.Bbcache.ch_fused_groups
-         ce_ch.Cheri_isa.Bbcache.ch_fused_insns
-         (if ce_insns = 0 then 0.0
-          else
-            float_of_int ce_ch.Cheri_isa.Bbcache.ch_fused_insns
-            /. float_of_int ce_insns)
-         ce_ch.Cheri_isa.Bbcache.ch_batched
-         fc_hits fc_misses sb_eager sb_lazy
-         Cheri_analysis.Absint.stats.Cheri_analysis.Absint.cs_lazy_gsb
-         an_funcs an_iters an_proved an_checks
-         (fst (probes_of "chain+elide")) (snd (probes_of "chain+elide"))
-         (elide_rate (probes_of "chain+elide"));
-       close_out oc;
-       Printf.printf "wrote BENCH_simulator.json\n"
-     end
-   | [] -> assert false)
+  List.iter
+    (fun l ->
+      if l.insns <> step.insns then
+        failwith
+          (Printf.sprintf "engine parity violated: step retired %d insns, %s %d"
+             step.insns l.name l.insns);
+      Printf.printf "%s/step speedup: %.2fx (identical %d retired insns)\n"
+        l.name (sim_mips l /. sim_mips step) step.insns)
+    chain_legs;
+  (* Regression gates (wired into @bench-smoke). Two structural checks on
+     the image-keyed fact cache and lazy per-superblock analysis are exact:
+     the elide leg must have hit the fact cache on its warm passes, and
+     must not have fallen back to eager whole-image analysis. *)
+  if !opt_smoke then begin
+    if st.cs_hits = 0 then
+      failwith "bench-smoke: elide leg never hit the fact cache on warm passes";
+    if st.cs_eager_sb > 0 then
+      failwith
+        (Printf.sprintf
+           "bench-smoke: elide leg ran %d eager superblock fixpoints \
+            (expected lazy analysis only)" st.cs_eager_sb);
+    (* Chain gates: an inline-cache hit count of zero on this mix means
+       the links or inline caches stopped carrying the hot loops (every
+       workload has monomorphic hot back edges). *)
+    if chain.ch.ch_ic_hits = 0 then
+      failwith "bench-smoke: chain leg never hit an inline cache";
+    if chain.ch.ch_chained = 0 then
+      failwith "bench-smoke: chain leg never chained a block";
+    (* Elision on top of chaining must not cost throughput. The regression
+       class this hunts — analysis work creeping back onto the exec path,
+       concretely the guarded-fact prescan re-running each superblock
+       fixpoint a second time — is gated EXACTLY via [cs_lazy_gsb]: the
+       combined lazy resolver keeps it at 0. That original regression cost
+       0.16% of throughput, an order of magnitude below the jitter of these
+       ~40ms legs, so the wall-clock floor below is a backstop against
+       catastrophic regressions only. *)
+    if st.cs_lazy_gsb > 0 then
+      failwith
+        (Printf.sprintf
+           "bench-smoke: chain+elide leg re-ran %d guarded-tier fixpoints \
+            (the combined resolver must serve both tiers from one scan)"
+           st.cs_lazy_gsb);
+    if sim_mips elide < sim_mips chain *. 0.85 then
+      failwith
+        (Printf.sprintf
+           "bench-smoke: chain+elide regressed below chain (%.2f < 0.85 x \
+            %.2f sim-MIPS)" (sim_mips elide) (sim_mips chain));
+    (* The widened data-side TLB must actually serve the chain legs. *)
+    if chain.ch.ch_dtlb_hits = 0 then
+      failwith "bench-smoke: chain leg never hit the data-side TLB";
+    (* Probe gates: the elide leg must actually execute check-free
+       closures; the non-elide leg must never see one. *)
+    if elide.elided = 0 then
+      failwith "bench-smoke: chain+elide leg executed no elided probes";
+    if chain.elided <> 0 then
+      failwith "bench-smoke: non-elide leg executed elided probes";
+    (* Tier-3 gates: the chain+elide leg carries fact tables, so its
+       certified prefixes must actually fuse line groups and batch
+       same-line tail probes; the factless chain leg has no certificates
+       and must never fuse. All three are exact structural counts,
+       independent of host timing. *)
+    if elide.ch.ch_fused_groups = 0 then
+      failwith "bench-smoke: chain+elide leg retired no fused groups";
+    if elide.ch.ch_batched = 0 then
+      failwith "bench-smoke: chain+elide leg batched no data probes";
+    if chain.ch.ch_fused_groups <> 0 then
+      failwith "bench-smoke: factless chain leg fused a group"
+  end;
+  let an_funcs, an_iters, an_checks, an_proved =
+    Cheri_analysis.Absint.ipa_totals ()
+  in
+  let c = chain.ch and e = elide.ch in
+  emit
+    [ "benchmark", J.String "mibench+spec x {mips64,cheriabi} + openssl s_server";
+      ( "engines",
+        J.List
+          (List.map
+             (fun l ->
+               let pass_mips = List.map (mips l.insns) l.secs in
+               J.Obj
+                 [ "engine", J.String l.name; "instructions", J.Int l.insns;
+                   "host_seconds", num (best_secs l);
+                   "sim_mips", num (sim_mips l);
+                   "pass_sim_mips", J.List (List.map num pass_mips);
+                   "median_sim_mips", num (median pass_mips);
+                   "chain_length", num (chain_len l.ch);
+                   "ic_hit_rate", num (ic_rate l.ch);
+                   "elide_rate", num (elide_rate l) ])
+             legs) );
+      "speedup_chain_over_step", num (sim_mips chain /. sim_mips step);
+      "speedup_chain_elide_over_step", num (sim_mips elide /. sim_mips step);
+      ( "chain",
+        J.Obj
+          [ "entries", J.Int c.ch_entries; "chained", J.Int c.ch_chained;
+            "avg_chain_length", num (chain_len c); "ic_hits", J.Int c.ch_ic_hits;
+            "ic_misses", J.Int c.ch_ic_misses; "ic_megamorphic", J.Int c.ch_ic_mega;
+            "ic_hit_rate", num (ic_rate c); "dtlb_hits", J.Int c.ch_dtlb_hits;
+            "dtlb_misses", J.Int c.ch_dtlb_misses; "dtlb_hit_rate", num (dtlb_rate c) ] );
+      (* Tier-3 counters live on the chain+elide leg: fusion and batched
+         probes require fact tables, which only the elide legs carry. *)
+      ( "tier3",
+        J.Obj
+          [ "fused_groups", J.Int e.ch_fused_groups;
+            "fused_insns", J.Int e.ch_fused_insns;
+            "fused_insn_rate", num (ratio e.ch_fused_insns elide.insns);
+            "batched_probes", J.Int e.ch_batched ] );
+      ( "fact_cache",
+        J.Obj
+          [ "hits", J.Int st.cs_hits; "misses", J.Int st.cs_misses;
+            "superblocks_eager", J.Int st.cs_eager_sb;
+            "superblocks_lazy", J.Int st.cs_lazy_sb;
+            "guarded_prescans", J.Int st.cs_lazy_gsb ] );
+      ( "analysis",
+        J.Obj
+          [ "functions_summarized", J.Int an_funcs;
+            "fixpoint_iterations", J.Int an_iters;
+            "checks_provable", J.Int an_proved; "checks_total", J.Int an_checks ] );
+      ( "check_probes",
+        J.Obj
+          [ ( "chain_elide",
+              J.Obj
+                [ "checked", J.Int elide.checked; "elided", J.Int elide.elided;
+                  "elide_rate", num (elide_rate elide) ] ) ] ) ]
 
 (* --- Fleet: multicore machine sharding (docs/FLEET.md) ----------------------------- *)
 
-let opt_domains = ref 4
+(* The 1-domain and [domains]-domain runs of one machine set, interleaved,
+   keeping each side's best-throughput report. Simulated results are
+   identical across passes by the determinism contract, so "best" only
+   selects a wall clock. *)
+let fleet_pair ~domains run =
+  Cheri_analysis.Absint.reset_stats ();
+  Cheri_analysis.Absint.clear_fact_cache ();
+  let reps = if !opt_smoke then 3 else 1 in
+  let best rs =
+    List.fold_left
+      (fun a b -> if b.Fleet.f_mips > a.Fleet.f_mips then b else a)
+      (List.hd rs) rs
+  in
+  match
+    interleave ~reps ~insns:(fun r -> r.Fleet.f_insns)
+      [ "1 domain", (fun () -> run 1);
+        count domains "domain", (fun () -> run domains) ]
+  with
+  | [ single; sharded ] -> best single, best sharded
+  | _ -> assert false
 
-(* Insert or replace one top-level member of BENCH_simulator.json. The
-   engine bench writes the file wholesale (its own members only); the
-   fleet and malloc legs each own one member and must not clobber the
-   others, so the replacement is brace-aware: an existing member is
-   located by its key and spliced out over its exact object extent
-   (string-aware brace matching), while a missing member is appended as
-   the last member before the closing brace. [obj] carries the full
-   '"key": { ... }' text. *)
-let upsert_member path ~key obj =
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = if i + m > n then None
-      else if String.sub s i m = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    end
-    else "{\n}\n"
-  in
-  let n = String.length base in
-  let out =
-    match find_sub base (Printf.sprintf "\"%s\":" key) with
-    | Some i ->
-      (* Replace in place: skip to the value's opening brace, then match
-         it, skipping over string literals (keys can contain braces). *)
-      let j = ref i in
-      while !j < n && base.[!j] <> '{' do incr j done;
-      if !j >= n then failwith (Printf.sprintf "upsert %S: no object" key);
-      let depth = ref 0 and fin = ref (-1) and instr = ref false in
-      let p = ref !j in
-      while !fin < 0 && !p < n do
-        let c = base.[!p] in
-        if !instr then begin
-          if c = '\\' then incr p else if c = '"' then instr := false
-        end
-        else if c = '"' then instr := true
-        else if c = '{' then incr depth
-        else if c = '}' then begin
-          decr depth;
-          if !depth = 0 then fin := !p
-        end;
-        incr p
-      done;
-      if !fin < 0 then
-        failwith (Printf.sprintf "upsert %S: unbalanced braces" key);
-      String.sub base 0 i ^ obj ^ String.sub base (!fin + 1) (n - !fin - 1)
-    | None ->
-      (* Append as the last member before the final brace. *)
-      let cut =
-        match String.rindex_opt base '}' with Some i -> i | None -> 0
-      in
-      let j = ref (cut - 1) in
-      while !j >= 0
-            && (match base.[!j] with
-                | ' ' | '\n' | '\t' | '\r' | ',' -> true
-                | _ -> false)
-      do decr j done;
-      let prefix = String.sub base 0 (!j + 1) in
-      let sep =
-        if String.length prefix = 0 || prefix.[String.length prefix - 1] = '{'
-        then "\n  "
-        else ",\n  "
-      in
-      prefix ^ sep ^ obj ^ "\n}\n"
-  in
-  let oc = open_out path in
-  output_string oc out;
-  close_out oc
+(* Per-machine checks of the sharded run: a clean exit, the workload's
+   own success line at the end of its console, and the determinism
+   contract — a snapshot bit-identical to the single-domain run's. The
+   snapshot embeds status and console, so the single-domain run passes
+   the first two checks whenever the sharded run does. *)
+let check_machines ~tag ~suffix ~domains (single : Fleet.report)
+    (sharded : Fleet.report) =
+  Array.iteri
+    (fun i (m : Fleet.machine_result) ->
+      (match m.mr_status with
+       | Some (Cheri_kernel.Proc.Exited 0) -> ()
+       | s ->
+         failwith
+           (Printf.sprintf "%s: %s finished %s" tag m.mr_label
+              (Fleet.status_str s)));
+      if not (String.ends_with ~suffix m.mr_output) then
+        failwith
+          (Printf.sprintf "%s: %s did not print %S" tag m.mr_label suffix);
+      if not (String.equal single.f_results.(i).mr_snapshot m.mr_snapshot) then
+        failwith
+          (Printf.sprintf "%s: %s diverged between 1 and %d domains" tag
+             m.mr_label domains))
+    sharded.f_results
 
-(* Minimal schema check over the rendered fleet object: the keys the
-   scaling analysis depends on must be present, and the latency
-   percentiles must parse and be monotone. Runs on the exact text that
-   goes into BENCH_simulator.json. *)
-let validate_fleet_json text =
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = if i + m > n then None
-      else if String.sub s i m = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let require key =
-    if find_sub text (Printf.sprintf "%S:" key) = None then
-      failwith (Printf.sprintf "fleet json: missing key %S" key)
-  in
-  List.iter require
-    [ "domains"; "workers"; "host_cores"; "machines"; "requests";
-      "single_domain_mips";
-      "aggregate_mips"; "speedup"; "steals"; "utilization"; "latency_cycles";
-      "p50"; "p95"; "p99" ];
-  let int_after key =
-    match find_sub text (Printf.sprintf "%S:" key) with
-    | None -> failwith (Printf.sprintf "fleet json: missing key %S" key)
-    | Some i ->
-      let j = ref (i + String.length key + 3) in
-      while !j < String.length text && text.[!j] = ' ' do incr j done;
-      let s = ref 0 and any = ref false in
-      while !j < String.length text
-            && text.[!j] >= '0' && text.[!j] <= '9' do
-        s := (!s * 10) + (Char.code text.[!j] - Char.code '0');
-        any := true;
-        incr j
-      done;
-      if not !any then
-        failwith (Printf.sprintf "fleet json: key %S is not an integer" key);
-      !s
-  in
-  let p50 = int_after "p50" and p95 = int_after "p95" in
-  let p99 = int_after "p99" in
-  if not (p50 <= p95 && p95 <= p99) then
+(* Scaling gate, host-parallelism-aware: a 2.5x floor for 4 domains
+   assumes >= 4 host cores (0.625x per domain of usable parallelism). On
+   narrower hosts wall-clock parallelism is bounded by the core count, so
+   the same per-core floor is applied to min(domains, cores) — on a 1-core
+   host that degenerates to "N domains must stay within 0.625x of 1
+   domain", guarding against multi-domain overhead regressions while
+   demanding nothing the hardware cannot give. docs/FLEET.md records this
+   policy. *)
+let scaling_gate ~tag ~domains (single : Fleet.report) (sharded : Fleet.report) =
+  let usable = min domains (Domain.recommended_domain_count ()) in
+  let floor_x = 0.625 *. float_of_int usable in
+  if sharded.f_mips < floor_x *. single.f_mips then
     failwith
       (Printf.sprintf
-         "fleet json: latency percentiles not monotone (p50=%d p95=%d p99=%d)"
-         p50 p95 p99)
+         "%s: %d-domain aggregate %.2f sim-MIPS under the %.2fx floor over \
+          single-domain %.2f (usable parallelism %d)"
+         tag domains sharded.f_mips floor_x single.f_mips usable)
 
 let fleet_bench () =
-  let module Fleet = Cheri_fleet.Fleet in
   header "Fleet: whole-machine sharding across OCaml domains (TLS traffic)";
-  let domains = max 1 !opt_domains in
+  let domains = !opt_domains in
   let cores = Domain.recommended_domain_count () in
   (* The smoke mix is sized for CI on one core; the full mix is the
      EXPERIMENTS.md scaling configuration. *)
   let machines, rounds = if !opt_smoke then 4, 30 else 8, 150 in
   Printf.printf
-    "mix: %d s_server machines in 3 service classes (base rounds %d), %d \
-     domain%s on %d host core%s\n%!"
-    machines rounds domains
-    (if domains = 1 then "" else "s")
-    cores
-    (if cores = 1 then "" else "s");
+    "mix: %d s_server machines in 3 service classes (base rounds %d), %s on \
+     %s\n%!"
+    machines rounds (count domains "domain") (count cores "host core");
   let specs = Fleet.traffic_mix ~machines ~rounds () in
-  Cheri_analysis.Absint.reset_stats ();
-  Cheri_analysis.Absint.clear_fact_cache ();
-  (* The scaling gate compares two wall-clock rates, so measure them
-     PAIRED (alternating single-domain and sharded runs — host stalls
-     land on both sides) and keep each side's best-throughput report.
-     Simulated results are identical across repetitions by the
-     determinism contract, so "best" only selects a wall clock; the
-     snapshot assertions below hold for whichever report is kept. *)
-  let reps = if !opt_smoke then 3 else 1 in
-  let best a b = if b.Fleet.f_mips > a.Fleet.f_mips then b else a in
-  let rec measure n (s_acc, f_acc) =
-    if n = 0 then (s_acc, f_acc)
-    else begin
-      let s = Fleet.run ~domains:1 specs in
-      let f = if domains = 1 then s else Fleet.run ~domains specs in
-      let acc =
-        match s_acc, f_acc with
-        | None, None -> (Some s, Some f)
-        | Some s0, Some f0 -> (Some (best s0 s), Some (best f0 f))
-        | _ -> assert false
-      in
-      measure (n - 1) acc
-    end
-  in
-  let single, fleet =
-    match measure reps (None, None) with
-    | Some s, Some f -> s, f
-    | _ -> assert false
-  in
-  let check_ok tag (r : Fleet.report) =
-    Array.iter
-      (fun (m : Fleet.machine_result) ->
-        (match m.Fleet.mr_status with
-         | Some (Cheri_kernel.Proc.Exited 0) -> ()
-         | s ->
-           failwith
-             (Printf.sprintf "fleet(%s): %s finished %s" tag m.Fleet.mr_label
-                (Fleet.status_str s)));
-        if not (String.ends_with ~suffix:"fleet ok" m.Fleet.mr_output) then
-          failwith
-            (Printf.sprintf "fleet(%s): %s did not verify its exchange" tag
-               m.Fleet.mr_label))
-      r.Fleet.f_results
-  in
-  check_ok "single" single;
-  check_ok "sharded" fleet;
-  (* The determinism contract, asserted on every bench run (the test suite
-     carries the fork/mprotect differential): per-machine snapshots must be
-     bit-identical whatever the domain count. *)
-  Array.iteri
-    (fun i (m : Fleet.machine_result) ->
-      let s = single.Fleet.f_results.(i) in
-      if not (String.equal s.Fleet.mr_snapshot m.Fleet.mr_snapshot) then
-        failwith
-          (Printf.sprintf
-             "fleet: machine %s diverged between 1 and %d domains"
-             m.Fleet.mr_label domains))
-    fleet.Fleet.f_results;
+  let single, fleet = fleet_pair ~domains (fun d -> Fleet.run ~domains:d specs) in
+  check_machines ~tag:"fleet" ~suffix:"fleet ok" ~domains single fleet;
   Printf.printf "%-20s %6s %6s %12s %9s %8s\n" "machine" "domain" "stolen"
     "sim insns" "requests" "host s";
   Array.iter
     (fun (m : Fleet.machine_result) ->
-      Printf.printf "%-20s %6d %6s %12d %9d %8.3f\n" m.Fleet.mr_label
-        m.Fleet.mr_domain
-        (if m.Fleet.mr_stolen then "yes" else "no")
-        m.Fleet.mr_insns m.Fleet.mr_requests m.Fleet.mr_host_seconds)
-    fleet.Fleet.f_results;
-  let speedup = fleet.Fleet.f_mips /. single.Fleet.f_mips in
+      Printf.printf "%-20s %6d %6s %12d %9d %8.3f\n" m.mr_label m.mr_domain
+        (if m.mr_stolen then "yes" else "no")
+        m.mr_insns m.mr_requests m.mr_host_seconds)
+    fleet.f_results;
+  let speedup = fleet.f_mips /. single.f_mips in
   Printf.printf
     "aggregate: 1 domain %.2f sim-MIPS; %d domains (%d workers) %.2f \
      sim-MIPS (%.2fx), %d steals\n"
-    single.Fleet.f_mips domains fleet.Fleet.f_workers fleet.Fleet.f_mips
-    speedup fleet.Fleet.f_steals;
+    single.f_mips domains fleet.f_workers fleet.f_mips speedup fleet.f_steals;
   Printf.printf "utilization: %s\n"
     (String.concat " "
        (Array.to_list
           (Array.mapi
              (fun d u -> Printf.sprintf "d%d=%.0f%%" d (100.0 *. u))
-             fleet.Fleet.f_util)));
+             fleet.f_util)));
   Printf.printf
     "request latency (sim cycles over %d requests): p50=%d p95=%d p99=%d\n"
-    fleet.Fleet.f_requests fleet.Fleet.f_p50 fleet.Fleet.f_p95
-    fleet.Fleet.f_p99;
-  let fleet_obj =
-    Printf.sprintf
-      "\"fleet\": {\n\
-      \    \"domains\": %d,\n\
-      \    \"workers\": %d,\n\
-      \    \"host_cores\": %d,\n\
-      \    \"machines\": %d,\n\
-      \    \"requests\": %d,\n\
-      \    \"single_domain_mips\": %.3f,\n\
-      \    \"aggregate_mips\": %.3f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"steals\": %d,\n\
-      \    \"utilization\": [ %s ],\n\
-      \    \"latency_cycles\": { \"p50\": %d, \"p95\": %d, \"p99\": %d },\n\
-      \    \"machines_detail\": [\n%s\n    ]\n\
-      \  }"
-      domains fleet.Fleet.f_workers cores machines fleet.Fleet.f_requests
-      single.Fleet.f_mips
-      fleet.Fleet.f_mips speedup fleet.Fleet.f_steals
-      (String.concat ", "
-         (Array.to_list
-            (Array.map (Printf.sprintf "%.3f") fleet.Fleet.f_util)))
-      fleet.Fleet.f_p50 fleet.Fleet.f_p95 fleet.Fleet.f_p99
-      (String.concat ",\n"
-         (Array.to_list
-            (Array.map
-               (fun (m : Fleet.machine_result) ->
-                 Printf.sprintf
-                   "      { \"machine\": %S, \"domain\": %d, \"stolen\": %b, \
-                    \"instructions\": %d, \"requests\": %d, \
-                    \"host_seconds\": %.3f }"
-                   m.Fleet.mr_label m.Fleet.mr_domain m.Fleet.mr_stolen
-                   m.Fleet.mr_insns m.Fleet.mr_requests
-                   m.Fleet.mr_host_seconds)
-               fleet.Fleet.f_results)))
-  in
+    fleet.f_requests fleet.f_p50 fleet.f_p95 fleet.f_p99;
   if !opt_smoke then begin
-    validate_fleet_json fleet_obj;
-    if fleet.Fleet.f_requests = 0 then
+    if not (fleet.f_p50 <= fleet.f_p95 && fleet.f_p95 <= fleet.f_p99) then
+      failwith
+        (Printf.sprintf
+           "fleet-smoke: latency percentiles not monotone (p50=%d p95=%d \
+            p99=%d)" fleet.f_p50 fleet.f_p95 fleet.f_p99);
+    if fleet.f_requests = 0 then
       failwith "fleet-smoke: traffic generator completed no requests";
-    if fleet.Fleet.f_insns <> single.Fleet.f_insns then
+    if fleet.f_insns <> single.f_insns then
       failwith
-        (Printf.sprintf
-           "fleet-smoke: instruction totals diverged (%d vs %d)"
-           single.Fleet.f_insns fleet.Fleet.f_insns);
-    (* Scaling gate, host-parallelism-aware: the ISSUE's 2.5x floor for 4
-       domains assumes >= 4 host cores (0.625x per domain of usable
-       parallelism). On narrower hosts wall-clock parallelism is bounded by
-       the core count, so the same per-core floor is applied to
-       min(domains, cores) — on a 1-core CI host that degenerates to "4
-       domains must stay within 0.625x of 1 domain", guarding against
-       multi-domain overhead regressions while demanding nothing the
-       hardware cannot give. docs/FLEET.md records this policy. *)
-    let usable = min domains cores in
-    let floor_x = 0.625 *. float_of_int usable in
-    if fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
-      failwith
-        (Printf.sprintf
-           "fleet-smoke: %d-domain aggregate %.2f sim-MIPS under the %.2fx \
-            floor over single-domain %.2f (usable parallelism %d)"
-           domains fleet.Fleet.f_mips floor_x single.Fleet.f_mips usable)
+        (Printf.sprintf "fleet-smoke: instruction totals diverged (%d vs %d)"
+           single.f_insns fleet.f_insns);
+    scaling_gate ~tag:"fleet-smoke" ~domains single fleet
   end;
-  if !opt_json then begin
-    upsert_member "BENCH_simulator.json" ~key:"fleet" fleet_obj;
-    Printf.printf "updated BENCH_simulator.json (fleet object)\n"
-  end
+  emit
+    [ ( "fleet",
+        J.Obj
+          [ "domains", J.Int domains; "workers", J.Int fleet.f_workers;
+            "host_cores", J.Int cores; "machines", J.Int machines;
+            "requests", J.Int fleet.f_requests;
+            "single_domain_mips", num single.f_mips;
+            "aggregate_mips", num fleet.f_mips; "speedup", num speedup;
+            "steals", J.Int fleet.f_steals;
+            "utilization", J.List (List.map num (Array.to_list fleet.f_util));
+            ( "latency_cycles",
+              J.Obj
+                [ "p50", J.Int fleet.f_p50; "p95", J.Int fleet.f_p95;
+                  "p99", J.Int fleet.f_p99 ] );
+            ( "machines_detail",
+              J.List
+                (List.map
+                   (fun (m : Fleet.machine_result) ->
+                     J.Obj
+                       [ "machine", J.String m.mr_label;
+                         "domain", J.Int m.mr_domain;
+                         "stolen", J.Bool m.mr_stolen;
+                         "instructions", J.Int m.mr_insns;
+                         "requests", J.Int m.mr_requests;
+                         "host_seconds", num m.mr_host_seconds ])
+                   (Array.to_list fleet.f_results)) ) ] ) ]
 
 (* --- Malloc contention: the sharded allocator under cross-shard frees (docs/ALLOC.md) ---
 
@@ -1110,7 +855,6 @@ let fleet_bench () =
    arena access anywhere would diverge exactly here. *)
 
 let malloc_contention () =
-  let module Fleet = Cheri_fleet.Fleet in
   let module MI = Cheri_libc.Malloc_impl in
   header "Malloc contention: sharded allocator, remote-free queues, sweeps";
   (* --- Directed leg: per-shard choreography --------------------------- *)
@@ -1178,20 +922,16 @@ let malloc_contention () =
       failwith "malloc-smoke: no reuse sweeps of dirty local slots"
   end;
   (* --- Fleet leg: determinism + throughput ---------------------------- *)
-  let domains = max 1 !opt_domains in
-  let cores = Domain.recommended_domain_count () in
+  let domains = !opt_domains in
   let machines, src =
     if !opt_smoke then
       2, Malloc_bench.contention_src ~objs:24 ~generations:4 ~churn:12 ()
     else 4, Malloc_bench.contention_src ()
   in
   let gens = if !opt_smoke then 4 else Malloc_bench.default_generations in
-  Printf.printf
-    "fleet leg: %d contention machines, %d domain%s on %d host core%s\n%!"
-    machines domains
-    (if domains = 1 then "" else "s")
-    cores
-    (if cores = 1 then "" else "s");
+  Printf.printf "fleet leg: %d contention machines, %s on %s\n%!" machines
+    (count domains "domain")
+    (count (Domain.recommended_domain_count ()) "host core");
   let image = Stdlib_src.build_image ~abi:Abi.Cheriabi ~name:"malloc_mc" src in
   let specs =
     List.init machines (fun i ->
@@ -1200,141 +940,74 @@ let malloc_contention () =
           ms_argv = [ "malloc_mc" ]; ms_max_steps = 200_000_000;
           ms_marker = '#' })
   in
-  Cheri_analysis.Absint.reset_stats ();
-  Cheri_analysis.Absint.clear_fact_cache ();
-  (* Paired wall-clock measurement, exactly as the fleet bench: simulated
-     results are identical across reps, "best" only picks a clock. *)
-  let reps = if !opt_smoke then 3 else 1 in
-  let best a b = if b.Fleet.f_mips > a.Fleet.f_mips then b else a in
-  let rec measure n acc =
-    if n = 0 then acc
-    else begin
-      let s = Fleet.run ~domains:1 specs in
-      let f =
-        if domains = 1 then s
-        else Fleet.run ~domains ~oversubscribe:true specs
-      in
-      let acc =
-        match acc with
-        | None -> Some (s, f)
-        | Some (s0, f0) -> Some (best s0 s, best f0 f)
-      in
-      measure (n - 1) acc
-    end
+  let single, fleet =
+    fleet_pair ~domains (fun d -> Fleet.run ~domains:d ~oversubscribe:true specs)
   in
-  let single, fleet = Option.get (measure reps None) in
-  Array.iteri
-    (fun i (m : Fleet.machine_result) ->
-      let s = single.Fleet.f_results.(i) in
-      (match m.Fleet.mr_status with
-       | Some (Cheri_kernel.Proc.Exited 0) -> ()
-       | st ->
-         failwith
-           (Printf.sprintf "malloc fleet: %s finished %s" m.Fleet.mr_label
-              (Fleet.status_str st)));
-      if not (String.ends_with ~suffix:" malloc ok" m.Fleet.mr_output) then
-        failwith
-          (Printf.sprintf "malloc fleet: %s did not verify its heap"
-             m.Fleet.mr_label);
-      if m.Fleet.mr_requests <> Malloc_bench.expected_markers ~generations:gens ()
+  check_machines ~tag:"malloc fleet" ~suffix:" malloc ok" ~domains single fleet;
+  Printf.printf "%-14s %9s %9s %9s %9s %8s %8s %8s\n" "machine" "mallocs"
+    "frees" "rem-enq" "rem-drn" "own-sw" "reuse" "adopt";
+  Array.iter
+    (fun (m : Fleet.machine_result) ->
+      if m.mr_requests <> Malloc_bench.expected_markers ~generations:gens ()
       then
         failwith
           (Printf.sprintf "malloc fleet: %s reaped %d children, expected %d"
-             m.Fleet.mr_label m.Fleet.mr_requests gens);
-      (* The determinism contract, allocator edition: the snapshot embeds
-         the alloc= counter line, so any unsynchronized arena access
-         under the multi-domain fleet diverges exactly here. *)
-      if not (String.equal s.Fleet.mr_snapshot m.Fleet.mr_snapshot) then
-        failwith
-          (Printf.sprintf
-             "malloc fleet: %s diverged between 1 and %d domains \
-              (unsynchronized arena access?)" m.Fleet.mr_label domains);
+             m.mr_label m.mr_requests gens);
       (* Quiesce gates per machine: remote queues fully drained. *)
-      let ma n = List.assoc n m.Fleet.mr_alloc in
+      let ma n = List.assoc n m.mr_alloc in
       if ma "remote_enq" = 0 then
         failwith
-          (Printf.sprintf "malloc fleet: %s saw no remote frees"
-             m.Fleet.mr_label);
+          (Printf.sprintf "malloc fleet: %s saw no remote frees" m.mr_label);
       if ma "remote_enq" <> ma "remote_drained" || ma "pending_remote" <> 0
       then
         failwith
           (Printf.sprintf
              "malloc fleet: %s queues not drained (enq=%d drained=%d \
-              pending=%d)" m.Fleet.mr_label (ma "remote_enq")
-             (ma "remote_drained") (ma "pending_remote")))
-    fleet.Fleet.f_results;
-  let asum name =
-    Array.fold_left
-      (fun acc (m : Fleet.machine_result) ->
-        acc + List.assoc name m.Fleet.mr_alloc)
-      0 fleet.Fleet.f_results
-  in
-  Printf.printf "%-14s %9s %9s %9s %9s %8s %8s %8s\n" "machine" "mallocs"
-    "frees" "rem-enq" "rem-drn" "own-sw" "reuse" "adopt";
-  Array.iter
-    (fun (m : Fleet.machine_result) ->
-      let ma n = List.assoc n m.Fleet.mr_alloc in
-      Printf.printf "%-14s %9d %9d %9d %9d %8d %8d %8d\n" m.Fleet.mr_label
+              pending=%d)" m.mr_label (ma "remote_enq")
+             (ma "remote_drained") (ma "pending_remote"));
+      Printf.printf "%-14s %9d %9d %9d %9d %8d %8d %8d\n" m.mr_label
         (ma "mallocs") (ma "frees") (ma "remote_enq") (ma "remote_drained")
         (ma "owner_sweeps") (ma "reuse_sweeps") (ma "adoptions"))
-    fleet.Fleet.f_results;
-  let speedup = fleet.Fleet.f_mips /. single.Fleet.f_mips in
+    fleet.f_results;
+  let speedup = fleet.f_mips /. single.f_mips in
   Printf.printf
     "aggregate: 1 domain %.2f sim-MIPS; %d domains %.2f sim-MIPS (%.2fx)\n"
-    single.Fleet.f_mips domains fleet.Fleet.f_mips speedup;
-  if !opt_smoke then begin
-    (* Aggregate-vs-single throughput floor, host-parallelism-aware like
-       the fleet gate: sharding the contention machines must not cost
-       throughput the hardware can deliver. *)
-    let usable = min domains cores in
-    let floor_x = 0.625 *. float_of_int usable in
-    if fleet.Fleet.f_mips < floor_x *. single.Fleet.f_mips then
-      failwith
-        (Printf.sprintf
-           "malloc-smoke: %d-domain aggregate %.2f sim-MIPS under the %.2fx \
-            floor over single-domain %.2f (usable parallelism %d)"
-           domains fleet.Fleet.f_mips floor_x single.Fleet.f_mips usable)
-  end;
-  if !opt_json then begin
-    let obj =
-      Printf.sprintf
-        "\"malloc_contention\": {\n\
-        \    \"machines\": %d,\n\
-        \    \"domains\": %d,\n\
-        \    \"workers\": %d,\n\
-        \    \"requests\": %d,\n\
-        \    \"single_domain_mips\": %.3f,\n\
-        \    \"aggregate_mips\": %.3f,\n\
-        \    \"speedup\": %.3f,\n\
-        \    \"alloc_totals\": { \"mallocs\": %d, \"frees\": %d, \
-         \"remote_enq\": %d, \"remote_drained\": %d, \"drains\": %d, \
-         \"owner_sweeps\": %d, \"reuse_sweeps\": %d, \"adoptions\": %d, \
-         \"tags_cleared\": %d, \"pending_remote\": %d },\n\
-        \    \"directed_shards\": [\n%s\n    ]\n\
-        \  }"
-        machines domains fleet.Fleet.f_workers fleet.Fleet.f_requests
-        single.Fleet.f_mips fleet.Fleet.f_mips speedup (asum "mallocs")
-        (asum "frees") (asum "remote_enq") (asum "remote_drained")
-        (asum "drains") (asum "owner_sweeps") (asum "reuse_sweeps")
-        (asum "adoptions") (asum "tags_cleared") (asum "pending_remote")
-        (String.concat ",\n"
-           (Array.to_list
-              (Array.map
-                 (fun (s : MI.shard_stats) ->
-                   Printf.sprintf
-                     "      { \"shard\": %d, \"mallocs\": %d, \"frees\": %d, \
-                      \"remote_enq\": %d, \"remote_drained\": %d, \
-                      \"drains\": %d, \"owner_sweeps\": %d, \
-                      \"reuse_sweeps\": %d, \"adoptions\": %d }"
-                     s.MI.ss_id s.MI.ss_mallocs s.MI.ss_frees
-                     s.MI.ss_remote_enq s.MI.ss_remote_drained s.MI.ss_drains
-                     s.MI.ss_owner_sweeps s.MI.ss_reuse_sweeps
-                     s.MI.ss_adoptions)
-                 shards)))
-    in
-    upsert_member "BENCH_simulator.json" ~key:"malloc_contention" obj;
-    Printf.printf "updated BENCH_simulator.json (malloc_contention object)\n"
-  end
+    single.f_mips domains fleet.f_mips speedup;
+  (* Sharding the contention machines must not cost throughput the
+     hardware can deliver. *)
+  if !opt_smoke then scaling_gate ~tag:"malloc-smoke" ~domains single fleet;
+  let asum name =
+    Array.fold_left
+      (fun acc (m : Fleet.machine_result) -> acc + List.assoc name m.mr_alloc)
+      0 fleet.f_results
+  in
+  let totals =
+    [ "mallocs"; "frees"; "remote_enq"; "remote_drained"; "drains";
+      "owner_sweeps"; "reuse_sweeps"; "adoptions"; "tags_cleared";
+      "pending_remote" ]
+  in
+  emit
+    [ ( "malloc_contention",
+        J.Obj
+          [ "machines", J.Int machines; "domains", J.Int domains;
+            "workers", J.Int fleet.f_workers; "requests", J.Int fleet.f_requests;
+            "single_domain_mips", num single.f_mips;
+            "aggregate_mips", num fleet.f_mips; "speedup", num speedup;
+            "alloc_totals", J.Obj (List.map (fun n -> n, J.Int (asum n)) totals);
+            ( "directed_shards",
+              J.List
+                (List.map
+                   (fun (s : MI.shard_stats) ->
+                     J.Obj
+                       [ "shard", J.Int s.ss_id; "mallocs", J.Int s.ss_mallocs;
+                         "frees", J.Int s.ss_frees;
+                         "remote_enq", J.Int s.ss_remote_enq;
+                         "remote_drained", J.Int s.ss_remote_drained;
+                         "drains", J.Int s.ss_drains;
+                         "owner_sweeps", J.Int s.ss_owner_sweeps;
+                         "reuse_sweeps", J.Int s.ss_reuse_sweeps;
+                         "adoptions", J.Int s.ss_adoptions ])
+                   (Array.to_list shards)) ) ] ) ]
 
 (* --- Driver ------------------------------------------------------------------------------------------ *)
 
@@ -1347,24 +1020,15 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let flags, args =
-    List.partition
-      (fun a ->
-        a = "--json" || a = "--smoke"
-        || String.starts_with ~prefix:"--domains=" a)
-      args
-  in
-  opt_json := List.mem "--json" flags;
-  opt_smoke := List.mem "--smoke" flags;
+  let flags, args = List.partition (String.starts_with ~prefix:"--") args in
   List.iter
-    (fun a ->
-      if String.starts_with ~prefix:"--domains=" a then
-        opt_domains :=
-          (match
-             int_of_string_opt (String.sub a 10 (String.length a - 10))
-           with
-           | Some n when n >= 1 -> n
-           | _ -> failwith (Printf.sprintf "bad flag %S" a)))
+    (function
+      | "--json" -> opt_json := true
+      | "--smoke" -> opt_smoke := true
+      | a ->
+        (match Scanf.sscanf_opt a "--domains=%u%!" Fun.id with
+         | Some n when n >= 1 -> opt_domains := n
+         | _ -> failwith (Printf.sprintf "bad flag %S" a)))
     flags;
   let selected =
     match args with
@@ -1374,12 +1038,22 @@ let () =
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Printf.printf "[%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t0)
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst experiments)))
-    selected
+      if not (List.mem_assoc name experiments) then begin
+        Printf.eprintf "unknown experiment %S; available: %s\n" name
+          (String.concat " " (List.map fst experiments));
+        exit 2
+      end)
+    selected;
+  List.iter
+    (fun name ->
+      let t0 = Unix.gettimeofday () in
+      List.assoc name experiments ();
+      Printf.printf "[%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
+    selected;
+  match !json_members with
+  | _ :: _ when !opt_json ->
+    let oc = open_out "BENCH_simulator.json" in
+    output_string oc (J.to_string (J.Obj !json_members));
+    close_out oc;
+    print_endline "wrote BENCH_simulator.json"
+  | _ -> ()

@@ -210,8 +210,42 @@ let test_provenance_picks_tightest_parent () =
    | Some i -> Alcotest.failf "picked node %d, wanted the malloc parent" i
    | None -> Alcotest.fail "no parent found")
 
+(* --- JSON emitter ------------------------------------------------------------------- *)
+
+module Json = Cheri_core.Json
+
+let test_json_rendering () =
+  let v =
+    Json.Obj
+      [ "name", Json.String "a\"b\\c\001";
+        "empty", Json.List [];
+        "flat",
+        Json.Obj
+          [ "n", Json.Int (-3); "x", Json.Float 0.5; "third", Json.Float (1. /. 3.);
+            "ok", Json.Bool true ];
+        "rows",
+        Json.List [ Json.Obj [ "v", Json.List [ Json.Float 26.385; Json.Int 7 ] ] ] ]
+  in
+  let expected = {|{
+  "name": "a\"b\\c\u0001",
+  "empty": [],
+  "flat": { "n": -3, "x": 0.5, "third": 0.33333333333333331, "ok": true },
+  "rows": [
+    { "v": [ 26.385, 7 ] }
+  ]
+}
+|} in
+  Alcotest.(check string) "rendering" expected (Json.to_string v);
+  List.iter
+    (fun x ->
+      match Json.to_string (Json.List [ Json.Float x ]) with
+      | s -> Alcotest.failf "%s rendered as %S" (Float.to_string x) s
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   suite
   @ [ "provenance chain depths", `Quick, test_provenance_chain_depths;
       "provenance picks tightest parent", `Quick,
-      test_provenance_picks_tightest_parent ]
+      test_provenance_picks_tightest_parent;
+      "json rendering", `Quick, test_json_rendering ]
