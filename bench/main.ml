@@ -473,7 +473,7 @@ let engine_bench () =
   let zero_ch =
     { Bb.ch_entries = 0; ch_chained = 0; ch_ic_hits = 0; ch_ic_misses = 0;
       ch_ic_mega = 0; ch_dtlb_hits = 0; ch_dtlb_misses = 0;
-      ch_fused_groups = 0; ch_fused_insns = 0; ch_batched = 0 }
+      ch_fused_insns = 0 }
   in
   let add_ch (a : Bb.chain_stats) (b : Bb.chain_stats) =
     { Bb.ch_entries = a.ch_entries + b.ch_entries;
@@ -483,9 +483,7 @@ let engine_bench () =
       ch_ic_mega = a.ch_ic_mega + b.ch_ic_mega;
       ch_dtlb_hits = a.ch_dtlb_hits + b.ch_dtlb_hits;
       ch_dtlb_misses = a.ch_dtlb_misses + b.ch_dtlb_misses;
-      ch_fused_groups = a.ch_fused_groups + b.ch_fused_groups;
-      ch_fused_insns = a.ch_fused_insns + b.ch_fused_insns;
-      ch_batched = a.ch_batched + b.ch_batched }
+      ch_fused_insns = 0 }
   in
   (* One full pass over the mix. The fact cache is deliberately NOT cleared
      here: within a leg, passes after the first hit the image-keyed cache, so
@@ -630,23 +628,12 @@ let engine_bench () =
     if elide.elided = 0 then
       failwith "bench-smoke: chain+elide leg executed no elided probes";
     if chain.elided <> 0 then
-      failwith "bench-smoke: non-elide leg executed elided probes";
-    (* Tier-3 gates: the chain+elide leg carries fact tables, so its
-       certified prefixes must actually fuse line groups and batch
-       same-line tail probes; the factless chain leg has no certificates
-       and must never fuse. All three are exact structural counts,
-       independent of host timing. *)
-    if elide.ch.ch_fused_groups = 0 then
-      failwith "bench-smoke: chain+elide leg retired no fused groups";
-    if elide.ch.ch_batched = 0 then
-      failwith "bench-smoke: chain+elide leg batched no data probes";
-    if chain.ch.ch_fused_groups <> 0 then
-      failwith "bench-smoke: factless chain leg fused a group"
+      failwith "bench-smoke: non-elide leg executed elided probes"
   end;
   let an_funcs, an_iters, an_checks, an_proved =
     Cheri_analysis.Absint.ipa_totals ()
   in
-  let c = chain.ch and e = elide.ch in
+  let c = chain.ch in
   emit
     [ "benchmark", J.String "mibench+spec x {mips64,cheriabi} + openssl s_server";
       ( "engines",
@@ -673,14 +660,6 @@ let engine_bench () =
             "ic_misses", J.Int c.ch_ic_misses; "ic_megamorphic", J.Int c.ch_ic_mega;
             "ic_hit_rate", num (ic_rate c); "dtlb_hits", J.Int c.ch_dtlb_hits;
             "dtlb_misses", J.Int c.ch_dtlb_misses; "dtlb_hit_rate", num (dtlb_rate c) ] );
-      (* Tier-3 counters live on the chain+elide leg: fusion and batched
-         probes require fact tables, which only the elide legs carry. *)
-      ( "tier3",
-        J.Obj
-          [ "fused_groups", J.Int e.ch_fused_groups;
-            "fused_insns", J.Int e.ch_fused_insns;
-            "fused_insn_rate", num (ratio e.ch_fused_insns elide.insns);
-            "batched_probes", J.Int e.ch_batched ] );
       ( "fact_cache",
         J.Obj
           [ "hits", J.Int st.cs_hits; "misses", J.Int st.cs_misses;

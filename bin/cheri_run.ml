@@ -268,27 +268,7 @@ let run file abi engine args dump_asm stats trace no_libc clc_small lint
         funcs iters proved checks s.Absint.cs_hits s.Absint.cs_misses
         (rate s.Absint.cs_hits s.Absint.cs_misses)
         s.Absint.cs_eager_sb s.Absint.cs_lazy_sb s.Absint.cs_lazy_gsb
-        checked elided (rate elided checked);
-      (* Tier-3 coverage: static certificates from the lazy analysis path,
-         plus the chain engine's dynamic fusion / batched-probe counters. *)
-      let h = Absint.lazy_cert_hist in
-      let fused_pct =
-        let i = p.Proc.ctx.Cpu.instret in
-        if i = 0 then 0.0
-        else 100.0 *. float_of_int bb.Bbcache.fused_insns /. float_of_int i
-      in
-      Printf.eprintf
-        "tier-3 certificates:   %d superblocks, %d certified insns (lazy)\n\
-         cert prefix histogram: 0:%d 1-8:%d 9-16:%d 17-24:%d 25-32:%d \
-         33-40:%d 41-48:%d 49+:%d\n\
-         fused groups:          %d executed, %d insns (%.1f%% of retired)\n\
-         batched data probes:   %d (%.1f%% of compiled accesses)\n"
-        s.Absint.cs_cert_sb s.Absint.cs_cert_insns
-        h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
-        bb.Bbcache.fused_groups bb.Bbcache.fused_insns fused_pct
-        bb.Bbcache.batched_probes
-        (rate bb.Bbcache.batched_probes
-           (checked + elided - bb.Bbcache.batched_probes))
+        checked elided (rate elided checked)
     end;
     if trace then begin
       let events = Trace.to_list collector in

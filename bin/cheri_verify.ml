@@ -41,24 +41,11 @@ type totals = {
   mutable t_guarded : int;
   mutable t_flow_sites : int;
   mutable t_flow_elided : int;
-  mutable t_cert_sb : int;
-  mutable t_cert_insns : int;
-  mutable t_runs : int;
-  mutable t_run_accesses : int;
-  t_cert_hist : int array;
 }
 
 let totals =
   { t_must = 0; t_warn = 0; t_sites = 0; t_elided = 0; t_guarded = 0;
-    t_flow_sites = 0; t_flow_elided = 0;
-    t_cert_sb = 0; t_cert_insns = 0; t_runs = 0; t_run_accesses = 0;
-    t_cert_hist = Array.make 8 0 }
-
-(* Certified-prefix length histogram, bucketed as Absint.cert_bucket does:
-   0, 1-8, 9-16, ..., 49+. *)
-let hist_str h =
-  Printf.sprintf "0:%d 1-8:%d 9-16:%d 17-24:%d 25-32:%d 33-40:%d 41-48:%d 49+:%d"
-    h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+    t_flow_sites = 0; t_flow_elided = 0 }
 
 (* Verify one named source under [abi]: print diagnostics and elision
    statistics, accumulate totals. *)
@@ -111,26 +98,13 @@ let verify_named ~abi name src =
       "  interprocedural: %d of %d flow checks provable (%.1f%%), %d summary \
        iterations\n"
       r.Absint.r_flow_elided r.Absint.r_flow_sites fpct r.Absint.r_iters;
-    Printf.printf
-      "  tier-3: %d certified superblocks (%d insns), %d access runs \
-       covering %d accesses\n  cert prefix histogram: %s\n"
-      r.Absint.r_cert_sb r.Absint.r_cert_insns r.Absint.r_runs
-      r.Absint.r_run_accesses
-      (hist_str r.Absint.r_cert_hist);
     totals.t_must <- totals.t_must + must;
     totals.t_warn <- totals.t_warn + warn;
     totals.t_sites <- totals.t_sites + r.Absint.r_sites;
     totals.t_elided <- totals.t_elided + r.Absint.r_elided;
     totals.t_guarded <- totals.t_guarded + r.Absint.r_guarded;
     totals.t_flow_sites <- totals.t_flow_sites + r.Absint.r_flow_sites;
-    totals.t_flow_elided <- totals.t_flow_elided + r.Absint.r_flow_elided;
-    totals.t_cert_sb <- totals.t_cert_sb + r.Absint.r_cert_sb;
-    totals.t_cert_insns <- totals.t_cert_insns + r.Absint.r_cert_insns;
-    totals.t_runs <- totals.t_runs + r.Absint.r_runs;
-    totals.t_run_accesses <- totals.t_run_accesses + r.Absint.r_run_accesses;
-    Array.iteri
-      (fun i n -> totals.t_cert_hist.(i) <- totals.t_cert_hist.(i) + n)
-      r.Absint.r_cert_hist
+    totals.t_flow_elided <- totals.t_flow_elided + r.Absint.r_flow_elided
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -186,11 +160,6 @@ let () =
     (pct totals.t_elided) totals.t_guarded covered (pct covered);
   Printf.printf "interprocedural: %d of %d flow checks provable\n"
     totals.t_flow_elided totals.t_flow_sites;
-  Printf.printf
-    "tier-3: %d certified superblocks (%d insns), %d access runs covering %d \
-     accesses\ncert prefix histogram: %s\n"
-    totals.t_cert_sb totals.t_cert_insns totals.t_runs totals.t_run_accesses
-    (hist_str totals.t_cert_hist);
   match min_elide with
   | Some floor when pct covered < floor ->
     Printf.eprintf

@@ -71,18 +71,6 @@ type sem_body = {
   sem : (Cpu.ctx -> unit) array;
   groups : int array;                  (* (start lsl 16) lor length, per line *)
   basesum : int array;                 (* prefix sums of Insn.base_cycles *)
-  (* Tier-3 group fusion: for each line group that lies entirely inside the
-     block's trap-freedom certificate ([Facts.cert]), a single closure that
-     runs every member in order — one indirect call per group instead of
-     the per-member dispatch loop. Inside a certified prefix only memory
-     accesses can trap (page fault, alignment, CSC value checks — the
-     capability checks themselves were discharged by tiers 1/2 and the
-     capability-arithmetic instructions were proven trap-free), so the
-     fused closure updates [t.x_i] only immediately before memory members:
-     the generic trap handler then attributes the exact faulting PC, and
-     [commit_sem] commits exactly the retired prefix, as the per-member
-     loop would. [None] for groups not fully certified. *)
-  fused : (Cpu.ctx -> unit) option array;
 }
 
 type block = {
@@ -142,14 +130,6 @@ type t = {
   mutable x_gs : int;
   mutable x_gcost : int;
   mutable x_gpa : int;
-  (* Physical address of the head access of the tier-3 access run in
-     flight, or -1 when the run's head line-fit check failed (the whole
-     hulled window must sit inside one 64-byte line at runtime; the
-     analysis proves the deltas, the head proves the placement). Set
-     by every run-head closure before its tails execute — tails are
-     consecutive accesses in the same block body, so the value can never
-     be another run's: each head overwrites it unconditionally. *)
-  mutable x_run_pa : int;
   (* Data-side translate memo: small set-associative software TLBs
      (2 sets x 2 ways, indexed by vpage parity, MRU way first), split
      by access kind because read and write rights (and COW) differ. One
@@ -189,15 +169,6 @@ type t = {
      outside the compiled-block world these counters describe. *)
   mutable checked_probes : int;
   mutable elided_probes : int;
-  (* Tier-3 visibility counters (bench/docs; not part of the parity
-     contract). [fused_groups]/[fused_insns]: line groups (and their
-     member instructions) executed through a fused single-call closure.
-     [batched_probes]: data accesses that took the batched guaranteed-hit
-     fast path ([Cache.daccess_repeats]) instead of a full
-     translate + [Cache.data_access] sequence. *)
-  mutable fused_groups : int;
-  mutable fused_insns : int;
-  mutable batched_probes : int;
 }
 
 let max_block = 64
@@ -211,15 +182,14 @@ let create () =
     map_gen = min_int;
     facts = None;
     cur_vpage = -1; cur_pbase = 0;
-    x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0; x_run_pa = -1;
+    x_i = 0; x_gs = 0; x_gcost = -1; x_gpa = 0;
     d_rd_vp = Array.make 4 (-1); d_rd_pb = Array.make 4 0;
     d_wr_vp = Array.make 4 (-1); d_wr_pb = Array.make 4 0;
     built = 0; flushes = 0; block_runs = 0; step_falls = 0;
     elided_sites = 0;
     chain_entries = 0; chained = 0; ic_hits = 0; ic_misses = 0; ic_mega = 0;
     dtlb_hits = 0; dtlb_misses = 0;
-    checked_probes = 0; elided_probes = 0;
-    fused_groups = 0; fused_insns = 0; batched_probes = 0 }
+    checked_probes = 0; elided_probes = 0 }
 
 (* Reset the dynamic visibility counters (chain/IC and probe counters).
    Called when the installed fact table changes identity — a new analysis
@@ -237,12 +207,12 @@ let reset_dyn_counters t =
   t.dtlb_hits <- 0;
   t.dtlb_misses <- 0;
   t.checked_probes <- 0;
-  t.elided_probes <- 0;
-  t.fused_groups <- 0;
-  t.fused_insns <- 0;
-  t.batched_probes <- 0
+  t.elided_probes <- 0
 
-(* Chain/IC statistics snapshot, for the bench legs and tests. *)
+(* Chain/IC statistics snapshot, for the bench legs and tests.
+   [ch_fused_insns] is always 0: the engine runs every body instruction
+   through its own closure. The field is kept because the end-to-end
+   benchmark (perfbench/workloads.ml) reports it. *)
 type chain_stats = {
   ch_entries : int;
   ch_chained : int;
@@ -251,9 +221,7 @@ type chain_stats = {
   ch_ic_mega : int;
   ch_dtlb_hits : int;
   ch_dtlb_misses : int;
-  ch_fused_groups : int;
   ch_fused_insns : int;
-  ch_batched : int;
 }
 
 let chain_stats t =
@@ -261,8 +229,7 @@ let chain_stats t =
     ch_ic_hits = t.ic_hits; ch_ic_misses = t.ic_misses;
     ch_ic_mega = t.ic_mega;
     ch_dtlb_hits = t.dtlb_hits; ch_dtlb_misses = t.dtlb_misses;
-    ch_fused_groups = t.fused_groups; ch_fused_insns = t.fused_insns;
-    ch_batched = t.batched_probes }
+    ch_fused_insns = 0 }
 
 let dtlb_reset t =
   Array.fill t.d_rd_vp 0 4 (-1);
@@ -406,19 +373,9 @@ let account t m pc base ctx =
 
 (* --- Block compilation ---------------------------------------------------- *)
 
-(* Tier-3 access-run role of a body instruction (from [Facts.cert]):
-   [R_head (lo, hi)] marks the first access of a certified same-line run
-   ([lo, hi) is the hulled byte window of the whole run relative to the
-   head's vaddr); [R_tail delta] marks a follow-on access whose vaddr is
-   provably head_vaddr + delta. *)
-type run_info =
-  | R_none
-  | R_head of int * int
-  | R_tail of int
-
 (* The exact data-side address work of one access: translate through the
    software TLB (which raises page faults exactly as [m.translate]), then
-   the real cache probe. Inlined into every plain memory closure. *)
+   the real cache probe. Inlined into every memory closure. *)
 let[@inline] access_rd t m (ctx : Cpu.ctx) vaddr w =
   let pa = translate_rd t m vaddr in
   ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access m.Cpu.hier pa w;
@@ -428,53 +385,6 @@ let[@inline] access_wr t m (ctx : Cpu.ctx) vaddr w =
   let pa = translate_wr t m vaddr in
   ctx.Cpu.cycles <- ctx.Cpu.cycles + Cache.data_access m.Cpu.hier pa w;
   pa
-
-(* Address work of a tier-3 access-run member; returns the physical
-   address. Every run member still runs its own capability check (unless
-   tier 1/2 elided it), its alignment check and — for CSC — the
-   stored-value rights checks, on the syntactically recomputed vaddr, in
-   its closure before calling this: each trap the step engine would raise
-   fires, with the identical cause and payload. What the certificate lets
-   tails skip is only the address work.
-
-   A head runs the exact sequence and then publishes [t.x_run_pa]: its
-   physical address if the hulled byte window [pa+lo, pa+hi) of the whole
-   run sits inside one 64-byte line, else -1. Testing the fit on the
-   physical address is the same as testing it on the virtual one because
-   pages are line-aligned (the address phase mod 64 is
-   translation-invariant); fit implies the whole run shares the head's
-   line and therefore its page, so every tail's physical address is
-   exactly head_pa + delta and its translate could neither fault nor
-   disagree. For write runs, kind homogeneity (enforced by the analysis)
-   means the head's write translate already performed COW and dirty
-   marking for the shared page. A tail with a published head therefore
-   replaces translate + [Cache.data_access] with the guaranteed-hit batch
-   [Cache.daccess_repeats] — exact because run members are *consecutive*
-   data accesses, so the head's DL1 line is still resident (see
-   cache.ml). A tail that finds [t.x_run_pa = -1] runs the exact sequence
-   instead: the fast path gates performance, never correctness. *)
-let run_access t m run (ctx : Cpu.ctx) ~write vaddr w =
-  match run with
-  | R_tail delta when t.x_run_pa >= 0 ->
-    let h = m.Cpu.hier in
-    t.batched_probes <- t.batched_probes + 1;
-    let pa = t.x_run_pa + delta in
-    Cache.daccess_repeats h pa 1;
-    ctx.Cpu.cycles <- ctx.Cpu.cycles + h.Cache.l1_hit_cycles;
-    pa
-  | _ ->
-    let pa =
-      if write then access_wr t m ctx vaddr w else access_rd t m ctx vaddr w
-    in
-    (match run with
-     | R_head (lo, hi) ->
-       t.x_run_pa <-
-         (if ((pa + lo) land (Cache.line_size - 1)) + (hi - lo)
-             <= Cache.line_size
-          then pa
-          else -1)
-     | R_none | R_tail _ -> ());
-    pa
 
 (* Straight-line instruction at [pc] -> closure with NO inlined
    accounting: block bodies batch fetch/cycle/instret accounting per
@@ -489,16 +399,14 @@ let run_access t m run (ctx : Cpu.ctx) ~write vaddr w =
    check: the memory arms then skip the [Cpu.check_cap] probe — a pure test
    with no statistics side effects — so retired instructions, cycles and
    cache counters are untouched, which is what keeps elided runs
-   bit-identical. [run] is the instruction's tier-3 access-run role: run
-   heads and tails take their address work from [run_access]; every other
-   access keeps translate and cache probe inline.
+   bit-identical.
 
    Memory arms inline [Cpu.mem_read]/[Cpu.mem_write] with the data-side
    translate memo substituted — check order (capability probe, alignment,
    translate, cache accounting, access) mirrors [Cpu.do_load] and friends
    exactly and must stay in lockstep with them; the differential fuzzer
    cross-checks every path. *)
-let compile_sem t m ~pc ~elide ~run insn =
+let compile_sem t m ~pc ~elide insn =
   let check = not elide in
   if elide then t.elided_sites <- t.elided_sites + 1;
   let mem = m.Cpu.mem in
@@ -558,11 +466,7 @@ let compile_sem t m ~pc ~elide ~run insn =
       if check && not (cap_ok ctx.Cpu.ddc Perms.load vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa =
-        match run with
-        | R_none -> access_rd t m ctx vaddr w
-        | _ -> run_access t m run ctx ~write:false vaddr w
-      in
+      let pa = access_rd t m ctx vaddr w in
       Cpu.wr_gpr ctx rd
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
@@ -573,11 +477,7 @@ let compile_sem t m ~pc ~elide ~run insn =
       if check && not (cap_ok ctx.Cpu.ddc Perms.store vaddr w) then
         Cpu.check_cap ctx.Cpu.ddc ~reg:(-2) ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa =
-        match run with
-        | R_none -> access_wr t m ctx vaddr w
-        | _ -> run_access t m run ctx ~write:true vaddr w
-      in
+      let pa = access_wr t m ctx vaddr w in
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLoad { w; signed; rd; cb; off } ->
     fun ctx ->
@@ -587,11 +487,7 @@ let compile_sem t m ~pc ~elide ~run insn =
       if check && not (cap_ok cap Perms.load vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa =
-        match run with
-        | R_none -> access_rd t m ctx vaddr w
-        | _ -> run_access t m run ctx ~write:false vaddr w
-      in
+      let pa = access_rd t m ctx vaddr w in
       Cpu.wr_gpr ctx rd
         (if signed then Tagmem.read_int_signed mem pa ~len:w
          else Tagmem.read_int mem pa ~len:w)
@@ -603,11 +499,7 @@ let compile_sem t m ~pc ~elide ~run insn =
       if check && not (cap_ok cap Perms.store vaddr w) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.store ~vaddr ~len:w;
       Cpu.check_align vaddr w;
-      let pa =
-        match run with
-        | R_none -> access_wr t m ctx vaddr w
-        | _ -> run_access t m run ctx ~write:true vaddr w
-      in
+      let pa = access_wr t m ctx vaddr w in
       Tagmem.write_int mem pa ~len:w (Cpu.rd_gpr ctx rs)
   | Insn.CLC { cd; cb; off } ->
     fun ctx ->
@@ -617,11 +509,7 @@ let compile_sem t m ~pc ~elide ~run insn =
       if check && not (cap_ok cap Perms.load vaddr Cap.sizeof) then
         Cpu.check_cap cap ~reg:cb ~perm:Perms.load ~vaddr ~len:Cap.sizeof;
       Cpu.check_align vaddr Cap.sizeof;
-      let pa =
-        match run with
-        | R_none -> access_rd t m ctx vaddr Cap.sizeof
-        | _ -> run_access t m run ctx ~write:false vaddr Cap.sizeof
-      in
+      let pa = access_rd t m ctx vaddr Cap.sizeof in
       let loaded = Tagmem.read_cap mem pa in
       let loaded =
         if Perms.has (Cap.perms cap) Perms.load_cap then loaded
@@ -646,11 +534,7 @@ let compile_sem t m ~pc ~elide ~run insn =
             ~vaddr
       end;
       Cpu.check_align vaddr Cap.sizeof;
-      let pa =
-        match run with
-        | R_none -> access_wr t m ctx vaddr Cap.sizeof
-        | _ -> run_access t m run ctx ~write:true vaddr Cap.sizeof
-      in
+      let pa = access_wr t m ctx vaddr Cap.sizeof in
       Tagmem.write_cap mem pa v
   | Insn.CIncOffsetImm (cd, cb, i) ->
     fun ctx -> Cpu.wr_creg ctx cd (Cap.inc_addr (Cpu.rd_creg ctx cb) i)
@@ -792,49 +676,6 @@ let make_groups entry nbody =
     Array.of_list (List.rev !gs)
   end
 
-(* The body instructions that can still trap inside a certified prefix:
-   their page-fault / alignment / CSC value checks are runtime events the
-   analysis does not discharge, so fused closures keep them as exact
-   repair points ([t.x_i] updated before each). *)
-let is_memop = function
-  | Insn.Load _ | Insn.Store _ | Insn.CLoad _ | Insn.CStore _
-  | Insn.CLC _ | Insn.CSC _ -> true
-  | _ -> false
-
-(* Fuse the member closures of line group [s, e] into one closure. The
-   caller ([exec_block]) sets [t.x_i <- s] before the call; members that
-   can trap ([is_memop]) re-point [t.x_i] at themselves first, so a trap
-   anywhere in the fused group attributes the exact faulting pc and
-   commits exactly the retired prefix — bit-identical to the per-member
-   dispatch loop. Non-memory members were proven trap-free by the
-   certificate (under the block guard, which held at entry), so skipping
-   their [x_i] updates is unobservable. *)
-let fuse t sem mems s e =
-  let n = e - s + 1 in
-  let cls = Array.init n (fun k -> Array.get sem (s + k)) in
-  (* [x_i] to publish before each member: its own index for possible
-     repair points (memory ops), -1 to skip the store entirely. The
-     head's store is always redundant — [exec_block] sets [t.x_i <- s]
-     before entering the fused closure. *)
-  let xi =
-    Array.init n (fun k ->
-        if k > 0 && Array.get mems (s + k) then s + k else -1)
-  in
-  if Array.for_all (fun i -> i < 0) xi then
-    (* No repair points past the head: nothing in the group can move
-       [x_i], so run the members with no per-member bookkeeping at all. *)
-    fun ctx ->
-      for k = 0 to n - 1 do
-        (Array.unsafe_get cls k) ctx
-      done
-  else
-    fun ctx ->
-      for k = 0 to n - 1 do
-        let i = Array.unsafe_get xi k in
-        if i >= 0 then t.x_i <- i;
-        (Array.unsafe_get cls k) ctx
-      done
-
 (* Decode a maximal block starting at [entry]. Returns [None] when even
    the first instruction is outside decoded code: the step fallback then
    reproduces the fetch fault with exact accounting. Build never touches
@@ -849,12 +690,6 @@ let build t m entry =
     match t.facts with Some f -> Facts.guarded f entry | None -> (0, [||])
   in
   let emask = fmask lor gmask in
-  (* Tier-3 certificate: trap-free prefix length and same-line access
-     runs, keyed like the masks. Pulled after [mask]/[guarded] so a lazy
-     fact table resolves each entry exactly once. *)
-  let cert =
-    match t.facts with Some f -> Facts.cert f entry | None -> Facts.no_cert
-  in
   let insns = ref [] in
   let term = ref None in
   let n = ref 0 in
@@ -871,17 +706,11 @@ let build t m entry =
   else begin
     t.built <- t.built + 1;
     let insns = Array.of_list (List.rev !insns) in
-    let rmap = Array.make max_block R_none in
-    Array.iter
-      (fun r ->
-         rmap.(r.Facts.ar_head) <- R_head (r.Facts.ar_lo, r.Facts.ar_hi);
-         Array.iter (fun (j, d) -> rmap.(j) <- R_tail d) r.Facts.ar_tail)
-      cert.Facts.ct_runs;
     let sem =
       Array.mapi
         (fun i insn ->
            compile_sem t m ~pc:(entry + (4 * i))
-             ~elide:((emask lsr i) land 1 = 1) ~run:rmap.(i) insn)
+             ~elide:((emask lsr i) land 1 = 1) insn)
         insns
     in
     let nbody = Array.length insns in
@@ -890,18 +719,8 @@ let build t m entry =
       (fun i insn -> basesum.(i + 1) <- basesum.(i) + Insn.base_cycles insn)
       insns;
     let groups = make_groups entry nbody in
-    let prefix = cert.Facts.ct_prefix in
-    let mems = Array.map is_memop insns in
-    let fused =
-      Array.map
-        (fun packed ->
-           let s = packed lsr 16 in
-           let e = s + (packed land 0xffff) - 1 in
-           if e < prefix then Some (fuse t sem mems s e) else None)
-        groups
-    in
     Some { b_entry = entry; b_ilen = !n;
-           b_body = { sem; groups; basesum; fused };
+           b_body = { sem; groups; basesum };
            b_guard = (if gmask = 0 then [||] else gpreds);
            b_term = !term;
            b_fall = None;
@@ -1006,7 +825,6 @@ let exec_block t m b (ctx : Cpu.ctx) =
   try
     let groups = sb.groups in
     let sem = sb.sem in
-    let fused = sb.fused in
     for g = 0 to Array.length groups - 1 do
       let packed = Array.unsafe_get groups g in
       let s = packed lsr 16 in
@@ -1016,18 +834,10 @@ let exec_block t m b (ctx : Cpu.ctx) =
       t.x_gpa <- pa;
       t.x_gcost <- Cache.ifetch m.Cpu.hier pa;
       let e = s + (packed land 0xffff) - 1 in
-      (match Array.unsafe_get fused g with
-       | Some f ->
-         (* Certified group: one indirect call; [f] keeps [t.x_i] exact at
-            every possible repair point (memory members). *)
-         t.fused_groups <- t.fused_groups + 1;
-         t.fused_insns <- t.fused_insns + (e - s + 1);
-         f ctx
-       | None ->
-         for j = s to e do
-           t.x_i <- j;
-           (Array.unsafe_get sem j) ctx
-         done);
+      for j = s to e do
+        t.x_i <- j;
+        (Array.unsafe_get sem j) ctx
+      done;
       commit_sem t m sb ctx e
     done;
     match b.b_term with

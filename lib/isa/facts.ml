@@ -70,48 +70,14 @@ type guard = int * gpred array
 
 let no_guard : guard = (0, [||])
 
-(* --- Tier 3: trap-freedom certificates and access runs --------------------
-
-   An *access run* records a maximal sequence of consecutive data accesses
-   in one superblock body proven (syntactically, by the analyzer) to touch
-   one 64-byte line whenever the head access does: every member's virtual
-   address is the head's plus a compile-time byte delta, the whole window
-   [ar_lo, ar_hi) spans at most a line, members are homogeneous in kind
-   (all reads or all writes) and no other memory access intervenes. The
-   chain engine then performs one real translation + cache probe at the
-   head and retires each tail as a guaranteed DL1 hit — guarded by a
-   runtime check that the head's window actually fits its physical line.
-
-   A *trap-freedom certificate* [ct_prefix] is the length of the maximal
-   body prefix in which every instruction either cannot raise any trap at
-   all (given the entry-time abstract state and the tier-2 guard, which
-   the engine evaluates before running the body) or is a data access whose
-   capability check is discharged by tiers 1-2 — those remain *repair
-   points* for the residual dynamic faults (page faults, alignment,
-   value-dependent CSC checks). The engine fuses instruction groups that
-   lie wholly inside the prefix into single closures, maintaining its
-   trap-attribution cursor only at the repair points. *)
-type arun = {
-  ar_head : int;                 (* body index of the head access *)
-  ar_tail : (int * int) array;   (* (body index, byte delta from head) *)
-  ar_lo : int;                   (* window low bound rel. head vaddr, <= 0 *)
-  ar_hi : int;                   (* window high bound rel. head vaddr, excl. *)
-}
-
-type cert = { ct_prefix : int; ct_runs : arun array }
-
-let no_cert = { ct_prefix = 0; ct_runs = [||] }
-
 type t = {
   tbl : (int, int) Hashtbl.t;     (* superblock entry pc -> bitmask *)
   gtbl : (int, guard) Hashtbl.t;  (* entry pc -> guarded mask + predicates *)
-  ctbl : (int, cert) Hashtbl.t;   (* entry pc -> tier-3 certificate *)
-  (* Lazy: entry pc -> (tier-1 mask, guarded tier, tier-3 cert), on first
-     use. One scan produces all three tiers; [mask] memoizes them all, so
-     the following [guarded] and [cert] are hash hits. Must be
-     deterministic and total (return (0, no_guard, no_cert) for unknown
-     PCs). *)
-  resolve : (int -> int * guard * cert) option;
+  (* Lazy: entry pc -> (tier-1 mask, guarded tier), on first use. One scan
+     produces both tiers; [mask] memoizes both, so the following [guarded]
+     is a hash hit. Must be deterministic and total (return (0, no_guard)
+     for unknown PCs). *)
+  resolve : (int -> int * guard) option;
   lock : Mutex.t;                 (* guards every table access (see above) *)
   mutable resolved : int;         (* entries materialized through [resolve] *)
   mutable gresolved : int;        (* guard pulls that had to run their own
@@ -124,15 +90,15 @@ type t = {
 let max_index = 62
 
 let create () = { tbl = Hashtbl.create 256; resolve = None; resolved = 0;
-                  gtbl = Hashtbl.create 64; ctbl = Hashtbl.create 64;
+                  gtbl = Hashtbl.create 64;
                   gresolved = 0; lookups = 0;
                   lock = Mutex.create () }
 
 (* A pull-through table: every entry is computed by [resolve] on first
-   lookup — all three tiers from one scan (see above). *)
+   lookup — both tiers from one scan (see above). *)
 let create_lazy ~resolve () =
   { tbl = Hashtbl.create 256; resolve = Some resolve; resolved = 0;
-    gtbl = Hashtbl.create 64; ctbl = Hashtbl.create 64;
+    gtbl = Hashtbl.create 64;
     gresolved = 0; lookups = 0;
     lock = Mutex.create () }
 
@@ -172,19 +138,14 @@ let add_mask t ~entry mask =
         in
         Hashtbl.replace t.tbl entry (cur lor mask))
 
-(* Memoize a resolver result for [entry]: all three tiers land in their
-   tables (zero or not — a re-decoded block must not re-run the fixpoint).
-   Caller holds the lock. *)
-let memoize_resolved t entry (m, g, c) =
+(* Memoize a resolver result for [entry]: both tiers land in their tables
+   (zero or not — a re-decoded block must not re-run the fixpoint). Caller
+   holds the lock. *)
+let memoize_resolved t entry (m, g) =
   Hashtbl.replace t.tbl entry m;
   Hashtbl.replace t.gtbl entry g;
-  Hashtbl.replace t.ctbl entry c;
   t.resolved <- t.resolved + 1;
-  m, g, c
-
-let fst3 (m, _, _) = m
-let snd3 (_, g, _) = g
-let trd3 (_, _, c) = c
+  m, g
 
 let mask t entry =
   with_lock t (fun () ->
@@ -194,7 +155,7 @@ let mask t entry =
       | None ->
         (match t.resolve with
          | None -> 0
-         | Some f -> fst3 (memoize_resolved t entry (f entry))))
+         | Some f -> fst (memoize_resolved t entry (f entry))))
 
 let elidable t ~entry ~index =
   index >= 0 && index <= max_index && (mask t entry lsr index) land 1 = 1
@@ -235,7 +196,7 @@ let guarded t entry : guard =
         (match t.resolve with
          | None -> no_guard
          | Some f ->
-           let g = snd3 (memoize_resolved t entry (f entry)) in
+           let g = snd (memoize_resolved t entry (f entry)) in
            t.gresolved <- t.gresolved + 1;
            g))
 
@@ -247,50 +208,3 @@ let guarded_blocks t =
 let guarded_checks t =
   with_lock t (fun () ->
       Hashtbl.fold (fun _ (m, _) acc -> acc + popcount m) t.gtbl 0)
-
-(* --- Tier 3 accessors ----------------------------------------------------- *)
-
-(* Record an eagerly-computed certificate. Trivial certificates are
-   dropped so [cert_blocks] counts only superblocks that license fusion. *)
-let add_cert t ~entry (c : cert) =
-  if c.ct_prefix > 0 then
-    with_lock t (fun () -> Hashtbl.replace t.ctbl entry c)
-
-(* Certificate for [entry]. On the block-build path this follows [mask]
-   for the same entry, so the combined resolver has already memoized it
-   and this is a hash hit; a cert-before-mask call order runs the scan
-   here (counted in [gresolved] together with guarded-first pulls — both
-   violate the one-scan-per-build discipline that tests pin at zero). *)
-let cert t entry : cert =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.ctbl entry with
-      | Some c -> c
-      | None ->
-        (match t.resolve with
-         | None -> no_cert
-         | Some f ->
-           let c = trd3 (memoize_resolved t entry (f entry)) in
-           t.gresolved <- t.gresolved + 1;
-           c))
-
-let cert_blocks t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ c acc -> if c.ct_prefix > 0 then acc + 1 else acc)
-        t.ctbl 0)
-
-let cert_insns t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ c acc -> acc + c.ct_prefix) t.ctbl 0)
-
-let cert_runs t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ c acc -> acc + Array.length c.ct_runs) t.ctbl 0)
-
-(* Accesses covered by runs: each run covers its head plus its tails. *)
-let cert_run_accesses t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ c acc ->
-           Array.fold_left
-             (fun acc r -> acc + 1 + Array.length r.ar_tail) acc c.ct_runs)
-        t.ctbl 0)

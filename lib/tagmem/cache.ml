@@ -178,16 +178,6 @@ let repeat_hits t line k =
    constant [h.l1_hit_cycles], which the caller adds itself. *)
 let ifetch_repeats h pa k = repeat_hits h.il1 (pa lsr h.il1.line_shift) k
 
-(* Data-side mirror of [ifetch_repeats]: [k] guaranteed-hit data accesses
-   of the DL1 line holding [pa]. The guarantee is the caller's (the chain
-   engine's batched access runs): the run's head access just performed a
-   real [data_access] on the same line, and no other data access runs
-   between the members of a run, so the line cannot have been evicted —
-   an access to the resident line itself only promotes it. As with
-   [repeat_hits], an absent line degrades to real probes, which is exact
-   by definition. *)
-let daccess_repeats h pa k = repeat_hits h.dl1 (pa lsr h.dl1.line_shift) k
-
 let l2_misses h = misses h.l2
 
 let reset_hierarchy_stats h =

@@ -280,8 +280,7 @@ let run_chain insns seed =
 
 (* Elided: the chain engine consuming the abstract interpreter's
    proved-safe facts (computed against the same initial DDC the machine
-   starts with), so provably-passing capability checks are compiled out,
-   and tier-3 certificates fuse line groups and batch same-line probes.
+   starts with), so provably-passing capability checks are compiled out.
    Eliding a check is a pure no-op when the proof is right, so the full
    snapshot — down to cycle and cache counters — must still match the step
    engine exactly. Chained entries must consult the fact table exactly as
@@ -651,16 +650,14 @@ let test_chain_trap_attribution () =
   Alcotest.(check int) "PCC names the faulting instruction, not the chain head"
     (code_base + 0x10) (Cap.addr ctx.Cpu.pcc)
 
-(* Tier-3 fusion and trap attribution: the certified prefix covers the
-   memory run through c1 (memory accesses are exactly-attributed repair
-   points), so it compiles into one fused closure — but it must stop at
-   the Div, whose divisor is loaded from memory and therefore Any to the
-   analysis (zero at runtime). The trap fires at the first *uncertified*
-   instruction after the fused group and must carry the Div's own PC, not
-   the group head's. *)
-let test_chain_fused_trap_attribution () =
-  (* Fusion is per I-cache line group (16 insns): pad the certified part
-     to fill the first group so the uncertified Div falls in the second. *)
+(* Trap attribution after a run of elided accesses: the store and load
+   through c1 have their capability checks discharged (c1 is an entry
+   register the block guard vouches for), so they run check-free; the Div
+   after them divides by the just-loaded zero, which the analysis cannot
+   see (the divisor comes from memory). The trap must carry the Div's own
+   PC — in the block's second I-line group — not the PC of the last
+   elided access or of the group head. *)
+let test_chain_trap_after_elided_run () =
   let insns =
     Array.append
       [| Insn.Li (13, 0);
@@ -675,29 +672,30 @@ let test_chain_fused_trap_attribution () =
   let facts_of ctx =
     Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc [ (code_base, insns) ]
   in
-  let _, st, ctx, _, stop =
-    chain_vs_step ~name:"fused-group trap" ~facts_of insns
+  let bb, _, ctx, _, stop =
+    chain_vs_step ~name:"trap after elided run" ~facts_of insns
   in
-  Alcotest.(check bool) "the memory run ahead of the Div fused" true
-    (st.Bbcache.ch_fused_groups >= 1 && st.Bbcache.ch_fused_insns >= 2);
+  Alcotest.(check int) "both accesses ahead of the Div ran elided" 2
+    bb.Bbcache.elided_probes;
+  Alcotest.(check int) "no access ran its check" 0 bb.Bbcache.checked_probes;
   (match stop with
    | Some (Cpu.Stop_trap Trap.Div_by_zero) -> ()
    | s -> Alcotest.failf "expected divide-by-zero, got %s" (stop_str s));
-  Alcotest.(check int) "PCC names the Div, not the fused group"
-    (code_base + 0x40) (Cap.addr ctx.Cpu.pcc)
+  Alcotest.(check int) "PCC names the Div" (code_base + 0x40)
+    (Cap.addr ctx.Cpu.pcc)
 
-(* Fuel expiry inside a fused group: sweep every fuel value over a hot
-   loop whose body is a certified memory run, so the quantum regularly
-   expires with a fused closure's group partially or wholly retired — the
-   engine must fall back to single-step replay and land on exactly the
-   step engine's state. Then resume one cache in prime-sized chunks
-   (q=37, the kernel's tiny-quantum shape) and check the same final
-   snapshot, with fused groups and batched tail probes both live. *)
-let test_chain_fuel_mid_fused_group () =
+(* Fuel expiry inside an elided loop body: sweep every fuel value over a
+   hot loop whose body is a run of check-free accesses, so the quantum
+   regularly expires part-way through the block — the engine must fall
+   back to single-step replay and land on exactly the step engine's
+   state. Then resume one cache in prime-sized chunks (q=37, the kernel's
+   tiny-quantum shape) and check the same final snapshot, with elided
+   probes live. *)
+let test_chain_fuel_elided_loop () =
   let insns =
     [| Insn.Li (8, 0);
        Insn.Li (9, 60);
-       (* loop head, 0x1008: adjacent certified accesses on one line *)
+       (* loop head, 0x1008: adjacent accesses on one line *)
        Insn.CLoad { w = 8; signed = false; rd = 10; cb = 1; off = 0 };
        Insn.CLoad { w = 8; signed = false; rd = 11; cb = 1; off = 8 };
        Insn.Addiu (10, 10, 1);
@@ -717,7 +715,7 @@ let test_chain_fuel_mid_fused_group () =
     let bb = Bbcache.create () in
     Bbcache.set_facts bb (Some (facts_of ctx));
     let stop = Bbcache.run bb m ctx ~fuel:f in
-    Alcotest.(check string) (Printf.sprintf "fused fuel=%d" f)
+    Alcotest.(check string) (Printf.sprintf "elided fuel=%d" f)
       s_step (snapshot stop m ctx mem)
   done;
   let m, ctx, mem = setup insns 11 in
@@ -731,54 +729,18 @@ let test_chain_fuel_mid_fused_group () =
   done;
   let m_s, ctx_s, mem_s = setup insns 11 in
   let stop_s = Cpu.run m_s ctx_s ~fuel:500 in
-  Alcotest.(check string) "q=37 resume through fused loop"
+  Alcotest.(check string) "q=37 resume through elided loop"
     (snapshot stop_s m_s ctx_s mem_s) (snapshot !stop m ctx mem);
-  let st = Bbcache.chain_stats bb in
-  Alcotest.(check bool) "fused groups retired" true
-    (st.Bbcache.ch_fused_groups > 0);
-  Alcotest.(check bool) "tail probes batched" true
-    (st.Bbcache.ch_batched > 0)
-
-(* Tier-3 run placement: the same certified same-line access runs — a
-   read pair, then a write pair, through c1 — placed inside one 64-byte
-   data line and across a line boundary. The analysis proves only the
-   deltas; the head proves the placement at runtime. Inside a line each
-   head publishes its physical address and its tail takes the batched-hit
-   path; across the boundary each head publishes -1 and its tail runs the
-   exact translate + probe sequence. Both placements must match step's
-   full snapshot. *)
-let test_chain_run_line_straddle () =
-  let prog off =
-    [| Insn.CLoad { w = 8; signed = false; rd = 10; cb = 1; off };
-       Insn.CLoad { w = 8; signed = false; rd = 11; cb = 1; off = off + 8 };
-       Insn.CStore { w = 8; rs = 11; cb = 1; off };
-       Insn.CStore { w = 8; rs = 10; cb = 1; off = off + 8 };
-       Insn.Break 0 |]
-  in
-  List.iter
-    (fun (name, off, batched) ->
-      let insns = prog off in
-      let facts_of ctx =
-        Cheri_analysis.Absint.facts_of_code ~ddc:ctx.Cpu.ddc
-          [ (code_base, insns) ]
-      in
-      let _, st, _, facts, _ = chain_vs_step ~name ~facts_of insns in
-      let cert = Facts.cert (Option.get facts) code_base in
-      Alcotest.(check int) (name ^ ": both runs certified") 2
-        (Array.length cert.Facts.ct_runs);
-      Alcotest.(check int) (name ^ ": batched tail probes") batched
-        st.Bbcache.ch_batched)
-    (* c1 starts line-aligned at data_base: [16, 32) sits inside the first
-       line, [56, 72) straddles the boundary at 64. *)
-    [ "run inside one line", 16, 2; "run across a line boundary", 56, 0 ]
+  Alcotest.(check bool) "loop accesses ran elided" true
+    (bb.Bbcache.elided_probes > 0)
 
 (* mprotect between two runs of a chained hot loop must sever every chain
    link: the pmap generation bump flushes the decoded blocks, and the
    second half of the program re-translates instead of running stale
    closures. With the fact provider on, the mutation hits analyzed code,
-   so the tier-1/2 masks AND the tier-3 certificates are dropped with it:
-   the second loop runs with no fused groups at all. Exercised end-to-end
-   through the kernel, under both ABIs. *)
+   so the tier-1/2 facts are dropped with it: the second loop runs every
+   capability check. Exercised end-to-end through the kernel, under both
+   ABIs. *)
 let test_chain_mprotect_severs () =
   let expect =
     let acc = ref 0 in
@@ -815,13 +777,13 @@ int main(int argc, char **argv) {
       let st0 = Bbcache.chain_stats bb in
       Alcotest.(check bool) "first loop chained" true
         (st0.Bbcache.ch_chained > 0);
-      Alcotest.(check bool) "first loop ran fused groups" true
-        (st0.Bbcache.ch_fused_groups > 0);
-      (* The analysis proved tier-3 certificates over the live image. *)
+      Alcotest.(check bool) "first loop ran elided probes" true
+        (bb.Bbcache.elided_probes > 0);
+      (* The analysis proved facts over the live image. *)
       (match p.Proc.facts with
        | Some f ->
-         Alcotest.(check bool) "tier-3 certificates present" true
-           (Facts.cert_blocks f > 0)
+         Alcotest.(check bool) "facts present" true
+           (Facts.blocks f + Facts.guarded_blocks f > 0)
        | None -> Alcotest.fail "fact provider produced no facts");
       let built0 = bb.Bbcache.built and flushes0 = bb.Bbcache.flushes in
       (* Re-protect the text page (rx -> rx still bumps the generation,
@@ -846,13 +808,15 @@ int main(int argc, char **argv) {
         (bb.Bbcache.flushes > flushes0);
       Alcotest.(check bool) "blocks were re-translated" true
         (bb.Bbcache.built > built0);
-      (* The mutation hit analyzed code: the whole fact set — tier-3
-         certificates included — was conservatively dropped, so the second
-         loop re-translated without fusion. *)
+      (* The mutation hit analyzed code: the whole fact set was
+         conservatively dropped (which resets the probe counters), so the
+         second loop re-translated with every check compiled in. *)
       Alcotest.(check bool) "facts dropped after mprotect of text" true
         (p.Proc.facts = None);
-      Alcotest.(check int) "no fused groups after certificates dropped" 0
-        (Bbcache.chain_stats bb).Bbcache.ch_fused_groups)
+      Alcotest.(check int) "no elided probes after facts dropped" 0
+        bb.Bbcache.elided_probes;
+      Alcotest.(check bool) "second loop ran its checks" true
+        (bb.Bbcache.checked_probes > 0))
     [ Abi.Mips64; Abi.Cheriabi ]
 
 (* --- Kernel-level parity --------------------------------------------------------- *)
@@ -977,8 +941,8 @@ let test_counter_reset_on_new_facts () =
    with a cold fact cache. Allocation per simulated instruction is the GC
    pressure that limits multi-domain scaling, and unlike host time it
    repeats exactly from run to run, so each engine gets a ceiling that a
-   regression cannot slip under. The ceilings are the values measured
-   when the gate was introduced. *)
+   regression cannot slip under. The dynamic probe counts are exact too:
+   they pin every tier-1/2 elision decision the run takes. *)
 let patricia_minor_words ~engine ~elide =
   let image =
     Stdlib_src.build_image ~abi:Abi.Cheriabi ~name:"network-patricia"
@@ -1000,21 +964,27 @@ let patricia_minor_words ~engine ~elide =
   (match status with
    | Some (Proc.Exited 0) -> ()
    | _ -> Alcotest.fail "network-patricia did not exit cleanly");
-  (words, p.Proc.ctx.Cpu.instret)
+  let bb = k.Kstate.bb in
+  (words, p.Proc.ctx.Cpu.instret, bb.Bbcache.checked_probes,
+   bb.Bbcache.elided_probes)
 
 let test_minor_words_gate () =
   List.iter
-    (fun (name, engine, elide, ceiling) ->
-      let words, insns = patricia_minor_words ~engine ~elide in
+    (fun (name, engine, elide, ceiling, probes) ->
+      let words, insns, checked, elided =
+        patricia_minor_words ~engine ~elide
+      in
       Printf.printf "%s: %d minor words, %d insns, %.2f words/insn\n" name
         words insns
         (float_of_int words /. float_of_int insns);
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d minor words <= ceiling %d" name words ceiling)
-        true (words <= ceiling))
-    [ "step", Cpu.Step, false, 35_314_142;
-      "chain", Cpu.Chain, false, 8_198_198;
-      "chain+elide", Cpu.Chain, true, 9_472_270 ]
+        true (words <= ceiling);
+      Alcotest.(check (pair int int)) (name ^ ": checked, elided probes")
+        probes (checked, elided))
+    [ "step", Cpu.Step, false, 35_314_142, (0, 0);
+      "chain", Cpu.Chain, false, 8_198_198, (1_258_226, 0);
+      "chain+elide", Cpu.Chain, true, 8_243_763, (296_707, 961_519) ]
 
 let test_kernel_parity_tiny_quantum () =
   (* A prime quantum far below block size: almost every timeslice ends
@@ -1032,12 +1002,9 @@ let suite =
     "chain: fuel boundaries", `Quick, test_chain_fuel_boundaries;
     "chain: crosses facts-elided entry", `Quick, test_chain_crosses_elided_entry;
     "chain: mid-chain trap attribution", `Quick, test_chain_trap_attribution;
-    "chain: fused-group trap attribution", `Quick,
-    test_chain_fused_trap_attribution;
-    "chain: fuel expiry mid-fused-group", `Quick,
-    test_chain_fuel_mid_fused_group;
-    "chain: run across a line boundary", `Quick,
-    test_chain_run_line_straddle;
+    "chain: trap after elided accesses", `Quick,
+    test_chain_trap_after_elided_run;
+    "chain: fuel expiry in elided loop", `Quick, test_chain_fuel_elided_loop;
     "chain: mprotect severs chains", `Quick, test_chain_mprotect_severs;
     "counter reset on new facts", `Quick, test_counter_reset_on_new_facts;
     "kernel parity", `Quick, test_kernel_parity;
