@@ -225,38 +225,48 @@ let lcg state =
   state := s;
   s
 
-let record_trace ~mem_size ~n =
+(* With [~near_frames], every address lands within 64 bytes of a 4 KiB
+   frame boundary or of the top of memory, so moves, fills and wide
+   accesses straddle the per-frame capability slot tables. *)
+let record_trace ?(near_frames = false) ~mem_size ~n () =
   let st = ref 0x9e3779b97f4a7c in
   (* Discard the LCG's low bits (they cycle with a short period). *)
   let rnd bound = (lcg st lsr 16) mod bound in
+  (* An address in [0, bound). *)
+  let addr bound =
+    if not near_frames then rnd bound
+    else
+      let a = (rnd (bound / 4096 + 1) * 4096) + rnd 128 - 64 in
+      max 0 (min (bound - 1) a)
+  in
   let widths = [| 1; 2; 4; 8; 8; 8; 4; 3 |] in
   List.init n (fun _ ->
-      let a16 = rnd (mem_size / 16 - 4) * 16 in
+      let a16 = addr (mem_size - 64) land lnot 15 in
       match rnd 16 with
       | 0 | 1 | 2 ->
         let len = widths.(rnd (Array.length widths)) in
-        Read (rnd (mem_size - 8), len)
+        Read (addr (mem_size - 8), len)
       | 3 | 4 | 5 | 6 ->
         let len = widths.(rnd (Array.length widths)) in
-        Write (rnd (mem_size - 8), len, lcg st)
-      | 7 -> Read_u8 (rnd mem_size)
-      | 8 -> Write_u8 (rnd mem_size, rnd 256)
+        Write (addr (mem_size - 8), len, lcg st)
+      | 7 -> Read_u8 (addr mem_size)
+      | 8 -> Write_u8 (addr mem_size, rnd 256)
       | 9 | 10 -> Write_cap (a16, a16 + rnd 64)
       | 11 -> Read_cap a16
       | 12 ->
         (* Aligned or unaligned move, sometimes overlapping. *)
         let len = (1 + rnd 16) * 16 in
-        let src = rnd (mem_size - 2 * len - 32) in
+        let src = addr (mem_size - 2 * len - 32) in
         let src = if rnd 2 = 0 then src land lnot 15 else src in
         let dst =
           if rnd 3 = 0 then src + ((rnd 3 - 1) * 16)   (* overlap *)
-          else rnd (mem_size - len - 32)
+          else addr (mem_size - len)
         in
         let dst = if rnd 2 = 0 then dst land lnot 15 else dst in
         Move (abs src, abs dst, len)
       | 13 ->
         let flen = (1 + rnd 32) * 16 in
-        Fill (rnd ((mem_size - flen) / 16) * 16, flen, rnd 256)
+        Fill (addr (mem_size - flen + 1) land lnot 15, flen, rnd 256)
       | _ -> Scan (a16 land lnot 4095, 4096))
 
 let cap_root = Cap.make_root ~base:0 ~top:(1 lsl 40) ()
@@ -312,8 +322,8 @@ let replay_ref mem trace =
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
 
-let check_tagmem_parity ~mem_size ~n =
-  let trace = record_trace ~mem_size ~n in
+let check_tagmem_parity ?near_frames ~mem_size ~n () =
+  let trace = record_trace ?near_frames ~mem_size ~n () in
   let opt = Tagmem.create ~size:mem_size in
   let refm = Ref_tagmem.create ~size:mem_size in
   let co = replay_opt opt trace in
@@ -337,11 +347,12 @@ let check_tagmem_parity ~mem_size ~n =
       let a = Tagmem.read_cap opt off and b = Ref_tagmem.read_cap refm off in
       if not (Cap.equal a b) then fail "stored capability differs at 0x%x" off)
     opt_tags;
-  Printf.printf "tagmem parity: OK (%d ops, %d final tags, checksum %d)\n"
+  Printf.printf "tagmem parity%s: OK (%d ops, %d final tags, checksum %d)\n"
+    (if near_frames = Some true then " (frame boundaries)" else "")
     n (List.length opt_tags) co
 
 let check_cache_parity ~n =
-  let traces = record_trace ~mem_size:(1 lsl 20) ~n in
+  let traces = record_trace ~mem_size:(1 lsl 20) ~n () in
   let accesses =
     List.filter_map
       (function
@@ -480,11 +491,13 @@ let () =
     Sys.argv;
   if !smoke then begin
     (* CI tier-1: counter parity on a recorded trace, quickly. *)
-    check_tagmem_parity ~mem_size:(1 lsl 18) ~n:20_000;
+    check_tagmem_parity ~mem_size:(1 lsl 18) ~n:20_000 ();
+    check_tagmem_parity ~near_frames:true ~mem_size:(1 lsl 18) ~n:20_000 ();
     check_cache_parity ~n:20_000;
     print_endline "micro --smoke: all parity checks passed"
   end else begin
-    check_tagmem_parity ~mem_size:(1 lsl 20) ~n:120_000;
+    check_tagmem_parity ~mem_size:(1 lsl 20) ~n:120_000 ();
+    check_tagmem_parity ~near_frames:true ~mem_size:(1 lsl 20) ~n:120_000 ();
     check_cache_parity ~n:120_000;
     print_newline ();
     let speedup = bench_tagmem ~mem_size:(1 lsl 20) ~iters:4_000_000 in

@@ -41,6 +41,7 @@ module Cap = Cheri_cap.Cap
 module Cpu = Cheri_isa.Cpu
 module Bbcache = Cheri_isa.Bbcache
 module Tagmem = Cheri_tagmem.Tagmem
+module Phys = Cheri_tagmem.Phys
 module Cache = Cheri_tagmem.Cache
 module Abi = Cheri_core.Abi
 module Kernel = Cheri_kernel.Kernel
@@ -97,6 +98,23 @@ let status_str = function
   | Some (Proc.Exited n) -> Printf.sprintf "exited %d" n
   | Some (Proc.Signaled n) -> Printf.sprintf "signaled %d" n
 
+(* Digest of physical memory: (frame number, contents) of every non-zero
+   frame up to the highest frame the kernel ever handed out. Frames above
+   it were never allocated and are zero, so the list names the whole
+   memory: equal memories give equal digests and any byte difference
+   changes the list (docs/FLEET.md). *)
+let data_digest k =
+  let mem = k.Kstate.mem in
+  let b = Buffer.create 4096 in
+  for f = 0 to Phys.high_water k.Kstate.phys do
+    let pa = Phys.frame_addr f in
+    if not (Tagmem.is_zero mem pa Phys.page_size) then begin
+      Buffer.add_int64_le b (Int64.of_int f);
+      Buffer.add_bytes b (Tagmem.read_bytes mem pa Phys.page_size)
+    end
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* Everything 1-domain and N-domain runs must agree on, rendered printable
    so a divergence shows up as a readable diff (same spirit as the engine
    fuzzer's snapshot): final architectural state of the driven process,
@@ -135,8 +153,7 @@ let snapshot k (p : Proc.t) status =
   Printf.bprintf b "console=%s\n" (String.escaped (Buffer.contents p.Proc.console));
   let mem = k.Kstate.mem in
   let size = Tagmem.size mem in
-  Printf.bprintf b "data=%s\n"
-    (Digest.to_hex (Digest.bytes (Tagmem.read_bytes mem 0 size)));
+  Printf.bprintf b "data=%s\n" (data_digest k);
   Printf.bprintf b "tags=%s\n"
     (Digest.to_hex
        (Digest.string
@@ -190,6 +207,11 @@ let run_machine ?(engine = Cpu.Chain) ?(elide = true) spec =
       (fun i s -> if i = 0 then s else s - ordered.(i - 1))
       ordered
   in
+  (* Snapshot and counters are taken before the clock is read, so the
+     host time covers boot, run and snapshot. *)
+  let mr_snapshot = snapshot k p status in
+  let mr_alloc = Malloc_impl.machine_counters k in
+  let mr_host_seconds = Unix.gettimeofday () -. host0 in
   { mr_label = spec.ms_label;
     mr_domain = 0;
     mr_stolen = false;
@@ -201,9 +223,9 @@ let run_machine ?(engine = Cpu.Chain) ?(elide = true) spec =
     mr_syscalls = p.Proc.syscall_count;
     mr_requests = !seen;
     mr_latencies = lats;
-    mr_host_seconds = Unix.gettimeofday () -. host0;
-    mr_snapshot = snapshot k p status;
-    mr_alloc = Malloc_impl.machine_counters k }
+    mr_host_seconds;
+    mr_snapshot;
+    mr_alloc }
 
 (* --- Work-stealing scheduler ------------------------------------------------ *)
 

@@ -80,9 +80,6 @@ type t = {
   resolve : (int -> int * guard) option;
   lock : Mutex.t;                 (* guards every table access (see above) *)
   mutable resolved : int;         (* entries materialized through [resolve] *)
-  mutable gresolved : int;        (* guard pulls that had to run their own
-                                     scan (guarded-before-mask order; 0 on
-                                     the block-build path) *)
   mutable lookups : int;          (* total [mask] queries — one per block
                                      build, however control reached it *)
 }
@@ -90,16 +87,14 @@ type t = {
 let max_index = 62
 
 let create () = { tbl = Hashtbl.create 256; resolve = None; resolved = 0;
-                  gtbl = Hashtbl.create 64;
-                  gresolved = 0; lookups = 0;
+                  gtbl = Hashtbl.create 64; lookups = 0;
                   lock = Mutex.create () }
 
 (* A pull-through table: every entry is computed by [resolve] on first
    lookup — both tiers from one scan (see above). *)
 let create_lazy ~resolve () =
   { tbl = Hashtbl.create 256; resolve = Some resolve; resolved = 0;
-    gtbl = Hashtbl.create 64;
-    gresolved = 0; lookups = 0;
+    gtbl = Hashtbl.create 64; lookups = 0;
     lock = Mutex.create () }
 
 let is_lazy t = t.resolve <> None
@@ -111,7 +106,6 @@ let with_lock t f =
   | exception e -> Mutex.unlock t.lock; raise e
 
 let resolved_lazily t = with_lock t (fun () -> t.resolved)
-let gresolved_lazily t = with_lock t (fun () -> t.gresolved)
 
 (* How many times the block engine consulted this table. Every decode goes
    through [mask] — including blocks first reached as a *chained*
@@ -119,16 +113,9 @@ let gresolved_lazily t = with_lock t (fun () -> t.gresolved)
    down that chaining cannot bypass the facts keying. *)
 let lookups t = with_lock t (fun () -> t.lookups)
 
-let add t ~entry ~index =
-  if index >= 0 && index <= max_index then
-    with_lock t (fun () ->
-        let cur =
-          match Hashtbl.find_opt t.tbl entry with Some m -> m | None -> 0
-        in
-        Hashtbl.replace t.tbl entry (cur lor (1 lsl index)))
-
-(* Or a whole precomputed mask in (used by the eager whole-image scan;
-   never stores an empty mask so [blocks] stays meaningful). *)
+(* Or a precomputed mask into [entry]'s facts (used by the eager
+   whole-image scan; never stores an empty mask so [blocks] stays
+   meaningful). *)
 let add_mask t ~entry mask =
   let mask = mask land ((1 lsl (max_index + 1)) - 1) in
   if mask <> 0 then
@@ -170,10 +157,6 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let checks t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ m acc -> acc + popcount m) t.tbl 0)
-
 (* --- Guarded tier -------------------------------------------------------- *)
 
 (* Record guarded facts for an entry. Empty masks are dropped (a guard
@@ -186,8 +169,7 @@ let add_guarded t ~entry mask preds =
 (* Guarded mask + predicates for [entry]. On the block-build path this
    always follows [mask] for the same entry, so the combined resolver has
    already memoized it and this is a hash hit; a guarded-before-mask call
-   order runs the scan here instead (counted separately — tests pin the
-   tier-1 [resolved] count and the guarded tier must not disturb it). *)
+   order runs the scan here instead. *)
 let guarded t entry : guard =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.gtbl entry with
@@ -195,16 +177,9 @@ let guarded t entry : guard =
       | None ->
         (match t.resolve with
          | None -> no_guard
-         | Some f ->
-           let g = snd (memoize_resolved t entry (f entry)) in
-           t.gresolved <- t.gresolved + 1;
-           g))
+         | Some f -> snd (memoize_resolved t entry (f entry))))
 
 let guarded_blocks t =
   with_lock t (fun () ->
       Hashtbl.fold (fun _ (m, _) acc -> if m <> 0 then acc + 1 else acc)
         t.gtbl 0)
-
-let guarded_checks t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ (m, _) acc -> acc + popcount m) t.gtbl 0)

@@ -8,29 +8,77 @@
    capability memory observe the address (as on real hardware, where the
    cursor occupies the low 64 bits of the encoding).
 
+   A machine costs what it touches. The data bytes and the tag bitset are
+   private mappings of /dev/zero: creating them commits nothing, untouched
+   pages read as zero, and the host OS hands out a page the first time it
+   is written. Capability slots come one 4 KiB frame at a time, on the
+   frame's first tagged store.
+
    Layout invariants (see docs/TAGMEM.md):
    - [tagbits] packs one tag bit per granule, LSB-first within each byte,
      and is padded to a whole number of 64-bit words so that range scans
      can test eight bitset bytes (= 1 KiB of memory) per load;
-   - [caps.(g)] is [Some c] iff bit [g] of [tagbits] is set — the bit is
-     the ground truth, the slot array is the direct-indexed side table;
+   - bit [g] of [tagbits] set implies that [slots.(frame g)] is a real
+     256-slot array holding the stored capability at [slot g]; the bit is
+     the ground truth, and cleared slots hold [Cap.null];
    - every store path clears overlapped tag bits *and* their slots before
      touching the raw bytes, so a data write can never leave a stale
      capability reachable. *)
 
 module Cap = Cheri_cap.Cap
 
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  bytes : Bytes.t;
-  tagbits : Bytes.t;              (* packed tag bitset, 1 bit per granule *)
-  caps : Cap.t option array;      (* granule -> stored capability *)
+  bytes : bigstring;              (* simulated RAM *)
+  tagbits : bigstring;            (* packed tag bitset, 1 bit per granule *)
+  slots : Cap.t array array;      (* frame -> its granules' capabilities *)
   size : int;
-  ngranules : int;
 }
 
 let granule = Cap.sizeof
 let granule_shift = 4
 let () = assert (granule = 1 lsl granule_shift)
+
+(* Capability slots are allocated per 4 KiB frame: 256 granules. *)
+let frame_granule_shift = 12 - granule_shift
+let frame_granules = 1 lsl frame_granule_shift
+
+(* The slot array of every frame that has never held a tag. It has no
+   slots, so the bit-implies-slots invariant is what keeps it unwritten. *)
+let no_slots : Cap.t array = [||]
+
+(* Native-endian unaligned word access; the [le] wrappers fold to the bare
+   load or store on little-endian hosts. *)
+external get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external get32 : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+external set32 : bigstring -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external get16 : bigstring -> int -> int = "%caml_bigstring_get16u"
+external set16 : bigstring -> int -> int -> unit = "%caml_bigstring_set16u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap16 : int -> int = "%bswap16"
+
+let[@inline] get64_le b i = if Sys.big_endian then swap64 (get64 b i) else get64 b i
+let[@inline] set64_le b i v = set64 b i (if Sys.big_endian then swap64 v else v)
+let[@inline] get32_le b i = if Sys.big_endian then swap32 (get32 b i) else get32 b i
+let[@inline] set32_le b i v = set32 b i (if Sys.big_endian then swap32 v else v)
+let[@inline] get16_le b i = if Sys.big_endian then swap16 (get16 b i) else get16 b i
+let[@inline] set16_le b i v = set16 b i (if Sys.big_endian then swap16 v else v)
+
+(* The annotations matter: bigarray access compiles to an inline load only
+   when kind and layout are known where it is written. *)
+let[@inline] get_u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
+let[@inline] set_u8 (b : bigstring) i v =
+  Bigarray.Array1.unsafe_set b i (Char.unsafe_chr v)
+
+(* A private mapping of /dev/zero: reads of untouched pages see zeros and
+   writes get private pages, so an unused region costs no memory. *)
+let zero_mapping fd len : bigstring =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |])
 
 let create ~size =
   if size <= 0 || size land (granule - 1) <> 0 then
@@ -39,10 +87,13 @@ let create ~size =
   (* Pad the bitset to 64-bit words so word-at-a-time scans never need a
      bounds check of their own. *)
   let nbytes = ((ngranules + 7) lsr 3 + 7) land lnot 7 in
-  { bytes = Bytes.make size '\000';
-    tagbits = Bytes.make nbytes '\000';
-    caps = Array.make ngranules None;
-    size; ngranules }
+  let nframes = (ngranules + frame_granules - 1) lsr frame_granule_shift in
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  { bytes = zero_mapping fd size;
+    tagbits = zero_mapping fd nbytes;
+    slots = Array.make nframes no_slots;
+    size }
 
 let size t = t.size
 
@@ -58,24 +109,47 @@ let[@inline] check t addr len =
    a plain shift (a signed division by 16 would need a fixup branch). *)
 let[@inline] granule_of addr = addr lsr granule_shift
 
+(* --- Capability slots ------------------------------------------------------- *)
+
+(* The slot of a tagged granule: its frame's array exists by the invariant. *)
+let[@inline] slot t g =
+  Array.unsafe_get
+    (Array.unsafe_get t.slots (g lsr frame_granule_shift))
+    (g land (frame_granules - 1))
+
+let[@inline] slot_clear t g =
+  Array.unsafe_set
+    (Array.unsafe_get t.slots (g lsr frame_granule_shift))
+    (g land (frame_granules - 1)) Cap.null
+
+let[@inline never] new_slots t f =
+  let a = Array.make frame_granules Cap.null in
+  Array.unsafe_set t.slots f a;
+  a
+
+(* Store [c] in granule [g]'s slot, giving the frame its array on its
+   first tagged store. The caller sets the tag bit. *)
+let[@inline] slot_set t g c =
+  let f = g lsr frame_granule_shift in
+  let a = Array.unsafe_get t.slots f in
+  let a = if a == no_slots then new_slots t f else a in
+  Array.unsafe_set a (g land (frame_granules - 1)) c
+
 (* --- Tag bitset primitives ------------------------------------------------ *)
 
-let[@inline] tag_bit t g =
-  Char.code (Bytes.unsafe_get t.tagbits (g lsr 3)) land (1 lsl (g land 7)) <> 0
+let[@inline] tag_bit t g = get_u8 t.tagbits (g lsr 3) land (1 lsl (g land 7)) <> 0
 
 let[@inline] tag_bit_set t g =
   let i = g lsr 3 in
-  Bytes.unsafe_set t.tagbits i
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.tagbits i) lor (1 lsl (g land 7))))
+  set_u8 t.tagbits i (get_u8 t.tagbits i lor (1 lsl (g land 7)))
 
 let[@inline] tag_bit_clear t g =
   let i = g lsr 3 in
-  let b = Char.code (Bytes.unsafe_get t.tagbits i) in
+  let b = get_u8 t.tagbits i in
   let m = 1 lsl (g land 7) in
   if b land m <> 0 then begin
-    Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-    Array.unsafe_set t.caps g None
+    set_u8 t.tagbits i (b land lnot m);
+    slot_clear t g
   end
 
 (* Does any granule in [g0, g1] carry a tag? Edge bytes are tested under a
@@ -84,20 +158,16 @@ let range_has_tags t g0 g1 =
   let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
   if b0 = b1 then
     let mask = ((1 lsl (g1 - g0 + 1)) - 1) lsl (g0 land 7) in
-    Char.code (Bytes.unsafe_get t.tagbits b0) land mask <> 0
-  else if Char.code (Bytes.unsafe_get t.tagbits b0) lsr (g0 land 7) <> 0 then
+    get_u8 t.tagbits b0 land mask <> 0
+  else if get_u8 t.tagbits b0 lsr (g0 land 7) <> 0 then true
+  else if get_u8 t.tagbits b1 land ((1 lsl ((g1 land 7) + 1)) - 1) <> 0 then
     true
-  else if
-    Char.code (Bytes.unsafe_get t.tagbits b1)
-    land ((1 lsl ((g1 land 7) + 1)) - 1) <> 0
-  then true
   else begin
     let found = ref false in
     let bi = ref (b0 + 1) in
     while not !found && !bi < b1 do
-      if !bi + 8 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-        bi := !bi + 8
-      else if Char.code (Bytes.unsafe_get t.tagbits !bi) <> 0 then found := true
+      if !bi + 8 <= b1 && get64 t.tagbits !bi = 0L then bi := !bi + 8
+      else if get_u8 t.tagbits !bi <> 0 then found := true
       else incr bi
     done;
     !found
@@ -122,12 +192,12 @@ let clear_tags_covering_count t addr len =
     if g0 = g1 then begin
       (* Fast path: the access is contained in one granule. *)
       let i = g0 lsr 3 in
-      let b = Char.code (Bytes.unsafe_get t.tagbits i) in
+      let b = get_u8 t.tagbits i in
       let m = 1 lsl (g0 land 7) in
       if b land m = 0 then 0
       else begin
-        Bytes.unsafe_set t.tagbits i (Char.unsafe_chr (b land lnot m));
-        Array.unsafe_set t.caps g0 None;
+        set_u8 t.tagbits i (b land lnot m);
+        slot_clear t g0;
         1
       end
     end else begin
@@ -136,10 +206,9 @@ let clear_tags_covering_count t addr len =
     let bi = ref b0 in
     while !bi <= b1 do
       (* Word fast path: skip eight all-clear bitset bytes at a time. *)
-      if !bi + 7 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-        bi := !bi + 8
+      if !bi + 7 <= b1 && get64 t.tagbits !bi = 0L then bi := !bi + 8
       else begin
-        let b = Char.code (Bytes.unsafe_get t.tagbits !bi) in
+        let b = get_u8 t.tagbits !bi in
         if b <> 0 then begin
           let lo = max g0 (!bi lsl 3) and hi = min g1 ((!bi lsl 3) lor 7) in
           let mask = ((1 lsl (hi - lo + 1)) - 1) lsl (lo land 7) in
@@ -147,10 +216,10 @@ let clear_tags_covering_count t addr len =
             for g = lo to hi do
               if b land (1 lsl (g land 7)) <> 0 then begin
                 incr cleared;
-                Array.unsafe_set t.caps g None
+                slot_clear t g
               end
             done;
-            Bytes.unsafe_set t.tagbits !bi (Char.unsafe_chr (b land lnot mask))
+            set_u8 t.tagbits !bi (b land lnot mask)
           end
         end;
         incr bi
@@ -172,10 +241,9 @@ let scan_tags t addr len =
   let b0 = g0 lsr 3 and b1 = g1 lsr 3 in
   let bi = ref b0 in
   while !bi <= b1 do
-    if !bi + 7 <= b1 && Bytes.get_int64_le t.tagbits !bi = 0L then
-      bi := !bi + 8
+    if !bi + 7 <= b1 && get64 t.tagbits !bi = 0L then bi := !bi + 8
     else begin
-      let b = Char.code (Bytes.unsafe_get t.tagbits !bi) in
+      let b = get_u8 t.tagbits !bi in
       if b <> 0 then begin
         let lo = max g0 (!bi lsl 3) and hi = min g1 ((!bi lsl 3) lor 7) in
         for g = lo to hi do
@@ -192,12 +260,12 @@ let scan_tags t addr len =
 
 let read_u8 t addr =
   check t addr 1;
-  Bytes.get_uint8 t.bytes addr
+  get_u8 t.bytes addr
 
 let write_u8 t addr v =
   check t addr 1;
   tag_bit_clear t (granule_of addr);
-  Bytes.set_uint8 t.bytes addr (v land 0xff)
+  set_u8 t.bytes addr (v land 0xff)
 
 (* 63-bit OCaml ints are zero-extended into the stored 64-bit pattern, so a
    word store writes exactly the bytes the per-byte loop used to. *)
@@ -206,14 +274,14 @@ let int63_mask = 0x7FFF_FFFF_FFFF_FFFFL
 let read_int t addr ~len =
   check t addr len;
   match len with
-  | 8 -> Int64.to_int (Bytes.get_int64_le t.bytes addr)
-  | 4 -> Int32.to_int (Bytes.get_int32_le t.bytes addr) land 0xFFFF_FFFF
-  | 2 -> Bytes.get_uint16_le t.bytes addr
-  | 1 -> Bytes.get_uint8 t.bytes addr
+  | 8 -> Int64.to_int (get64_le t.bytes addr)
+  | 4 -> Int32.to_int (get32_le t.bytes addr) land 0xFFFF_FFFF
+  | 2 -> get16_le t.bytes addr
+  | 1 -> get_u8 t.bytes addr
   | _ ->
     let v = ref 0 in
     for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get t.bytes (addr + i))
+      v := (!v lsl 8) lor get_u8 t.bytes (addr + i)
     done;
     !v
 
@@ -229,20 +297,20 @@ let write_int t addr ~len v =
   match len with
   | 8 ->
     clear_tags_small t addr (addr + 7);
-    Bytes.set_int64_le t.bytes addr (Int64.logand (Int64.of_int v) int63_mask)
+    set64_le t.bytes addr (Int64.logand (Int64.of_int v) int63_mask)
   | 4 ->
     clear_tags_small t addr (addr + 3);
-    Bytes.set_int32_le t.bytes addr (Int32.of_int v)
+    set32_le t.bytes addr (Int32.of_int v)
   | 2 ->
     clear_tags_small t addr (addr + 1);
-    Bytes.set_uint16_le t.bytes addr (v land 0xFFFF)
+    set16_le t.bytes addr (v land 0xFFFF)
   | 1 ->
     tag_bit_clear t (addr lsr granule_shift);
-    Bytes.set_uint8 t.bytes addr (v land 0xFF)
+    set_u8 t.bytes addr (v land 0xFF)
   | _ ->
     clear_tags_covering t addr len;
     for i = 0 to len - 1 do
-      Bytes.unsafe_set t.bytes (addr + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+      set_u8 t.bytes (addr + i) ((v lsr (8 * i)) land 0xff)
     done
 
 (* Sign-extend an integer read of [len] bytes. *)
@@ -254,14 +322,69 @@ let read_int_signed t addr ~len =
     let sign = 1 lsl (bits - 1) in
     if v land sign <> 0 then v - (1 lsl bits) else v
 
+(* Copies between the mapping and OCaml bytes, a word at a time. *)
 let blit_bytes t ~dst src =
-  check t dst (Bytes.length src);
-  clear_tags_covering t dst (Bytes.length src);
-  Bytes.blit src 0 t.bytes dst (Bytes.length src)
+  let len = Bytes.length src in
+  check t dst len;
+  clear_tags_covering t dst len;
+  let i = ref 0 in
+  while !i + 8 <= len do
+    set64 t.bytes (dst + !i) (Bytes.get_int64_ne src !i);
+    i := !i + 8
+  done;
+  while !i < len do
+    set_u8 t.bytes (dst + !i) (Bytes.get_uint8 src !i);
+    incr i
+  done
 
 let read_bytes t addr len =
   check t addr len;
-  Bytes.sub t.bytes addr len
+  let out = Bytes.create len in
+  let i = ref 0 in
+  while !i + 8 <= len do
+    Bytes.set_int64_ne out !i (get64 t.bytes (addr + !i));
+    i := !i + 8
+  done;
+  while !i < len do
+    Bytes.set_uint8 out !i (get_u8 t.bytes (addr + !i));
+    incr i
+  done;
+  out
+
+(* Are the [len] bytes at [addr] all zero? Reading an untouched page does
+   not commit it. *)
+let is_zero t addr len =
+  check t addr len;
+  let stop = addr + len in
+  let i = ref addr in
+  while !i + 8 <= stop && get64 t.bytes !i = 0L do i := !i + 8 done;
+  while !i < stop && get_u8 t.bytes !i = 0 do incr i done;
+  !i >= stop
+
+(* memmove within the mapping: copy forwards when the destination lies
+   below the source and backwards otherwise, so overlap is safe. *)
+let blit_within b ~src ~dst ~len =
+  if dst < src then begin
+    let i = ref 0 in
+    while !i + 8 <= len do
+      set64 b (dst + !i) (get64 b (src + !i));
+      i := !i + 8
+    done;
+    while !i < len do
+      set_u8 b (dst + !i) (get_u8 b (src + !i));
+      incr i
+    done
+  end else begin
+    let i = ref len in
+    while !i >= 8 do
+      i := !i - 8;
+      set64 b (dst + !i) (get64 b (src + !i))
+    done;
+    while !i > 0 do
+      decr i;
+      set_u8 b (dst + !i) (get_u8 b (src + !i))
+    done
+  end
 
 (* --- Capability access ----------------------------------------------------- *)
 
@@ -269,26 +392,22 @@ let read_cap t addr =
   check t addr granule;
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
-  if tag_bit t g then
-    match Array.unsafe_get t.caps g with
-    | Some c -> c
-    | None -> assert false   (* bit and slot move together *)
+  if tag_bit t g then slot t g
   else
     (* Untagged: reconstruct the cursor from the raw bytes; all other
        fields read as a null-derived pattern. *)
-    Cap.untagged ~addr:(Int64.to_int (Bytes.get_int64_le t.bytes addr))
+    Cap.untagged ~addr:(Int64.to_int (get64_le t.bytes addr))
 
 let write_cap t addr cap =
   check t addr granule;
   Cap.check_cap_alignment addr;
   let g = granule_of addr in
   (* Raw bytes: cursor in the low 8 bytes, a metadata summary above. *)
-  Bytes.set_int64_le t.bytes addr
-    (Int64.logand (Int64.of_int (Cap.addr cap)) int63_mask);
-  Bytes.set_int64_le t.bytes (addr + 8) 0L;
+  set64_le t.bytes addr (Int64.logand (Int64.of_int (Cap.addr cap)) int63_mask);
+  set64 t.bytes (addr + 8) 0L;
   if Cap.is_tagged cap then begin
     tag_bit_set t g;
-    Array.unsafe_set t.caps g (Some cap)
+    slot_set t g cap
   end else
     tag_bit_clear t g
 
@@ -304,33 +423,44 @@ let move t ~src ~dst ~len =
     in
     let sg0 = granule_of src in
     if aligned && range_has_tags t sg0 (granule_of (src + len - 1)) then begin
-      (* Collect source granule caps first so overlapping moves are safe. *)
+      (* Collect source granule caps first so overlapping moves are safe;
+         untagged granules leave [Cap.null], which is never tagged. *)
       let n = len / granule in
-      let caps = Array.make n None in
+      let caps = Array.make n Cap.null in
       for i = 0 to n - 1 do
         let g = sg0 + i in
-        if tag_bit t g then caps.(i) <- Array.unsafe_get t.caps g
+        if tag_bit t g then caps.(i) <- slot t g
       done;
       clear_tags_covering t dst len;
-      Bytes.blit t.bytes src t.bytes dst len;
+      blit_within t.bytes ~src ~dst ~len;
       let dg0 = granule_of dst in
       for i = 0 to n - 1 do
-        match caps.(i) with
-        | None -> ()
-        | Some _ as c ->
+        let c = caps.(i) in
+        if Cap.is_tagged c then begin
           let g = dg0 + i in
           tag_bit_set t g;
-          Array.unsafe_set t.caps g c
+          slot_set t g c
+        end
       done
     end else begin
       (* No source tags (or an unaligned copy, which strips them): a plain
          overlap-safe byte move plus a destination tag sweep. *)
       clear_tags_covering t dst len;
-      Bytes.blit t.bytes src t.bytes dst len
+      blit_within t.bytes ~src ~dst ~len
     end
   end
 
 let fill t addr len byte =
   check t addr len;
   clear_tags_covering t addr len;
-  Bytes.fill t.bytes addr len (Char.chr (byte land 0xff))
+  let b = t.bytes and v = byte land 0xff in
+  let w = Int64.mul (Int64.of_int v) 0x0101_0101_0101_0101L in
+  let stop = addr + len in
+  let i = ref addr in
+  while !i + 8 <= stop do
+    (* Words that already hold the pattern are left alone, so zeroing a
+       never-written frame reads the zero page instead of committing one. *)
+    if get64 b !i <> w then set64 b !i w;
+    i := !i + 8
+  done;
+  while !i < stop do set_u8 b !i v; incr i done

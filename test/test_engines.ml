@@ -982,9 +982,9 @@ let test_minor_words_gate () =
         true (words <= ceiling);
       Alcotest.(check (pair int int)) (name ^ ": checked, elided probes")
         probes (checked, elided))
-    [ "step", Cpu.Step, false, 35_314_142, (0, 0);
-      "chain", Cpu.Chain, false, 8_198_198, (1_258_226, 0);
-      "chain+elide", Cpu.Chain, true, 8_243_763, (296_707, 961_519) ]
+    [ "step", Cpu.Step, false, 35_042_780, (0, 0);
+      "chain", Cpu.Chain, false, 7_904_911, (1_258_226, 0);
+      "chain+elide", Cpu.Chain, true, 7_972_400, (296_707, 961_519) ]
 
 let test_kernel_parity_tiny_quantum () =
   (* A prime quantum far below block size: almost every timeslice ends

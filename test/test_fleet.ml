@@ -21,7 +21,11 @@
 
 module Fleet = Cheri_fleet.Fleet
 module Abi = Cheri_core.Abi
+module Kernel = Cheri_kernel.Kernel
+module Kstate = Cheri_kernel.Kstate
 module Proc = Cheri_kernel.Proc
+module Tagmem = Cheri_tagmem.Tagmem
+module Phys = Cheri_tagmem.Phys
 module Absint = Cheri_analysis.Absint
 module Stdlib_src = Cheri_workloads.Stdlib_src
 module Malloc_bench = Cheri_workloads.Malloc_bench
@@ -201,6 +205,84 @@ let test_one_vs_four_domains () =
   Alcotest.(check bool) "ownership-change sweeps happened" true
     (ma "owner_sweeps" > 0)
 
+(* --- Snapshot over handed-out frames ------------------------------------------ *)
+
+(* Boot and run one machine through the calls [Fleet.run_machine] makes,
+   keeping the kernel so its memory can be inspected afterwards. *)
+let run_to_end (spec : Fleet.machine_spec) =
+  let k = Kernel.boot () in
+  Cheri_libc.Runtime.install k;
+  Cheri_kernel.Vfs.add_exe k.Kstate.vfs spec.Fleet.ms_path
+    ~abi:spec.Fleet.ms_abi spec.Fleet.ms_image;
+  let p = Kernel.spawn k ~path:spec.Fleet.ms_path ~argv:spec.Fleet.ms_argv () in
+  ignore
+    (Kernel.run_chunked ~chunk:Fleet.chunk_insns
+       ~max_steps:spec.Fleet.ms_max_steps k p ~on_chunk:ignore);
+  let status = match p.Proc.state with Proc.Zombie s -> Some s | _ -> None in
+  Alcotest.(check bool) (spec.Fleet.ms_label ^ " exited 0") true
+    (status = Some (Proc.Exited 0));
+  (k, p, status)
+
+let snapshot_line prefix (k, p, status) =
+  List.find
+    (String.starts_with ~prefix)
+    (String.split_on_char '\n' (Fleet.snapshot k p status))
+
+(* Frames above the high-water mark were never handed out, so they must
+   still read as zero when the machine is done: the data= digest leaves
+   them out on exactly that ground. *)
+let test_untouched_above_high_water () =
+  List.iter
+    (fun spec ->
+      let k, _, _ = run_to_end spec in
+      let phys = k.Kstate.phys and mem = k.Kstate.mem in
+      let top = Phys.frame_addr (Phys.high_water phys + 1) in
+      Alcotest.(check bool) (spec.Fleet.ms_label ^ " handed out frames") true
+        (Phys.high_water phys > 0);
+      Alcotest.(check bool) (spec.Fleet.ms_label ^ ": zero above high water")
+        true
+        (Tagmem.is_zero mem top (Tagmem.size mem - top));
+      Alcotest.(check (list int))
+        (spec.Fleet.ms_label ^ ": no tags above high water") []
+        (Tagmem.scan_tags mem top (Tagmem.size mem - top)))
+    (Fleet.traffic_mix ~machines:1 ~rounds:2 ()
+     @ [ custom_spec ~label:"fork_heavy" ~name:"fork_heavy" fork_heavy_src ])
+
+(* The data= line names memory contents, not how many frames were handed
+   out: a fresh frame written and then zeroed changes nothing, and one
+   byte in a frame above every other changes the line. *)
+let test_data_digest_contents () =
+  let spec = List.hd (Fleet.traffic_mix ~machines:1 ~rounds:1 ()) in
+  let a = run_to_end spec and b = run_to_end spec in
+  let (ka, _, _) = a and (kb, _, _) = b in
+  let data () = (snapshot_line "data=" a, snapshot_line "data=" b) in
+  let same msg = let da, db = data () in Alcotest.(check string) msg da db in
+  same "same machine, same data";
+  (* Reuse every freed frame on both machines alike, so the next frame
+     either hands out is fresh. *)
+  List.iter
+    (fun k ->
+      let p = k.Kstate.phys in
+      while Phys.free_frames p > Phys.total_frames p - 1 - Phys.high_water p do
+        ignore (Phys.alloc_frame p)
+      done)
+    [ ka; kb ];
+  same "same frames drawn, same data";
+  let hw = Phys.high_water kb.Kstate.phys in
+  let f = Phys.alloc_frame kb.Kstate.phys in
+  Alcotest.(check int) "b's new frame is fresh" (hw + 1) f;
+  let pa = Phys.frame_addr f in
+  Tagmem.write_int kb.Kstate.mem (pa + 8) ~len:8 0x5eed;
+  Tagmem.write_cap kb.Kstate.mem (pa + 32) Kstate.user_root;
+  Tagmem.fill kb.Kstate.mem pa Phys.page_size 0;
+  same "written-then-zeroed frame is invisible";
+  Alcotest.(check string) "tags agree" (snapshot_line "tags=" a)
+    (snapshot_line "tags=" b);
+  Tagmem.write_u8 kb.Kstate.mem (pa + 4095) 1;
+  let da, db = data () in
+  Alcotest.(check bool) "one byte in the highest frame changes data=" true
+    (da <> db)
+
 (* --- Worker cap and report hygiene ------------------------------------------- *)
 
 let test_worker_cap () =
@@ -226,5 +308,8 @@ let test_percentiles_monotone () =
 
 let suite =
   [ "fleet: 1 vs 4 domains bit-identical", `Slow, test_one_vs_four_domains;
+    "fleet: zero above the high-water mark", `Quick,
+    test_untouched_above_high_water;
+    "fleet: data= digests contents", `Quick, test_data_digest_contents;
     "fleet: worker cap respects host cores", `Quick, test_worker_cap;
     "fleet: latency percentiles monotone", `Quick, test_percentiles_monotone ]

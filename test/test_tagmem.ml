@@ -138,6 +138,135 @@ let test_fill_clears_tags () =
   Tagmem.fill m 0x500 16 0;
   Alcotest.(check bool) "cleared" false (Tagmem.get_tag m 0x500)
 
+(* --- Lazy memory ---------------------------------------------------------------- *)
+
+(* A machine-sized memory: creating it commits nothing, so tests can use
+   the top of a 64 MiB address range freely. *)
+let big_size = 64 * 1024 * 1024
+let big () = Tagmem.create ~size:big_size
+
+let test_untouched_reads_zero () =
+  let m = big () in
+  List.iter
+    (fun a ->
+      Alcotest.(check int) (Printf.sprintf "u64 at 0x%x" a) 0
+        (Tagmem.read_int m a ~len:8);
+      Alcotest.(check int) (Printf.sprintf "u8 at 0x%x" a) 0
+        (Tagmem.read_u8 m (a + 7));
+      let c = Tagmem.read_cap m a in
+      Alcotest.(check bool) (Printf.sprintf "untagged at 0x%x" a) false
+        (Cap.is_tagged c);
+      Alcotest.(check int) (Printf.sprintf "cursor at 0x%x" a) 0 (Cap.addr c))
+    [ 0; 0x1000; big_size / 2; big_size - 4096; big_size - 16 ];
+  Alcotest.(check bool) "whole top frame zero" true
+    (Tagmem.is_zero m (big_size - 4096) 4096);
+  Alcotest.(check (list int)) "no tags anywhere" []
+    (Tagmem.scan_tags m 0 big_size)
+
+(* A capability stored into a frame that never held one, then struck by a
+   data store of each kind: no capability may stay reachable. *)
+let test_fresh_frame_cap_then_data () =
+  let top = big_size - 4096 in
+  List.iter
+    (fun (name, strike) ->
+      let m = big () in
+      let a = top + 0x40 in
+      Tagmem.write_cap m a (some_cap ());
+      Alcotest.(check bool) (name ^ ": tagged before") true (Tagmem.get_tag m a);
+      strike m a;
+      Alcotest.(check bool) (name ^ ": tag gone") false (Tagmem.get_tag m a);
+      Alcotest.(check bool) (name ^ ": read untagged") false
+        (Cap.is_tagged (Tagmem.read_cap m a));
+      Alcotest.(check (list int)) (name ^ ": no tag in frame") []
+        (Tagmem.scan_tags m top 4096))
+    [ "write_int", (fun m a -> Tagmem.write_int m a ~len:8 7);
+      "write_u8 high byte", (fun m a -> Tagmem.write_u8 m (a + 15) 1);
+      "odd-length write", (fun m a -> Tagmem.write_int m (a + 9) ~len:3 5);
+      "fill", (fun m a -> Tagmem.fill m a 16 0);
+      "blit_bytes", (fun m a -> Tagmem.blit_bytes m ~dst:(a + 4) (Bytes.make 4 'x'));
+      "untagged move", (fun m a -> Tagmem.move m ~src:0 ~dst:a ~len:16);
+      "untagged cap store", (fun m a -> Tagmem.write_cap m a Cap.null) ]
+
+(* Moves and fills across a 4 KiB frame boundary and up to the last byte
+   of memory: capability slots live per frame, so a tagged range that
+   spans two frames must land in both. *)
+let test_move_fill_across_frames () =
+  let m = big () in
+  let c0 = some_cap ~base:0x100 () and c1 = some_cap ~base:0x200 () in
+  (* Source straddles the 0x2000 boundary: one cap each side. *)
+  Tagmem.write_cap m 0x1ff0 c0;
+  Tagmem.write_cap m 0x2000 c1;
+  Tagmem.write_int m 0x1fe8 ~len:8 0x1234;
+  (* To the last 48 bytes of memory, a fresh frame with no slots yet. *)
+  let dst = big_size - 48 in
+  Tagmem.move m ~src:0x1fe0 ~dst ~len:48;
+  Alcotest.(check int) "data moved" 0x1234 (Tagmem.read_int m (dst + 8) ~len:8);
+  Alcotest.(check bool) "cap 0 at top" true
+    (Cap.equal c0 (Tagmem.read_cap m (dst + 16)));
+  Alcotest.(check bool) "cap 1 at last granule" true
+    (Cap.equal c1 (Tagmem.read_cap m (dst + 32)));
+  (* Overlapping move across a boundary, forwards and back. *)
+  Tagmem.move m ~src:0x1ff0 ~dst:0x2010 ~len:32;
+  Alcotest.(check bool) "forward: cap 0 past boundary" true
+    (Cap.equal c0 (Tagmem.read_cap m 0x2010));
+  Alcotest.(check bool) "forward: cap 1 further" true
+    (Cap.equal c1 (Tagmem.read_cap m 0x2020));
+  Alcotest.(check bool) "forward: source-only granule keeps its tag" true
+    (Tagmem.get_tag m 0x1ff0);
+  Tagmem.move m ~src:0x2010 ~dst:0x1fe0 ~len:32;
+  Alcotest.(check bool) "backward: cap 0 below boundary" true
+    (Cap.equal c0 (Tagmem.read_cap m 0x1fe0));
+  Alcotest.(check bool) "backward: cap 1 below boundary" true
+    (Cap.equal c1 (Tagmem.read_cap m 0x1ff0));
+  (* An unaligned move across the boundary strips every tag it lands on. *)
+  Tagmem.move m ~src:0x1fe0 ~dst:0x2ff8 ~len:32;
+  Alcotest.(check (list int)) "unaligned move leaves no tags" []
+    (Tagmem.scan_tags m 0x2ff0 48);
+  Alcotest.(check int) "unaligned move copies the cursor" (Cap.addr c0)
+    (Tagmem.read_int m 0x2ff8 ~len:8);
+  (* Fill across the boundary and up to the top of memory. *)
+  Tagmem.fill m 0x1fe0 64 0xab;
+  Alcotest.(check (list int)) "fill clears tags on both sides" []
+    (Tagmem.scan_tags m 0x1fe0 64);
+  Alcotest.(check bool) "granule past the fill keeps its tag" true
+    (Cap.equal c1 (Tagmem.read_cap m 0x2020));
+  Alcotest.(check int) "fill bytes below" 0xabab (Tagmem.read_int m 0x1ffe ~len:2);
+  Alcotest.(check int) "fill bytes above" 0xab (Tagmem.read_u8 m 0x201f);
+  Alcotest.(check int) "fill stops" 0 (Tagmem.read_u8 m 0x2020);
+  Tagmem.fill m (big_size - 4099) 4099 0;
+  Alcotest.(check bool) "top fill clears the top cap" false
+    (Tagmem.get_tag m (dst + 32));
+  Alcotest.(check bool) "top frame zero" true
+    (Tagmem.is_zero m (big_size - 4099) 4099);
+  Alcotest.check_raises "move past the top"
+    (Invalid_argument
+       (Printf.sprintf "Tagmem: access 0x%x+%d out of range" (big_size - 16) 32))
+    (fun () -> Tagmem.move m ~src:0 ~dst:(big_size - 16) ~len:32);
+  Alcotest.check_raises "fill past the top"
+    (Invalid_argument
+       (Printf.sprintf "Tagmem: access 0x%x+%d out of range" (big_size - 1) 2))
+    (fun () -> Tagmem.fill m (big_size - 1) 2 0)
+
+(* Booting the default 64 MiB machine allocates almost nothing: memory,
+   tags and capability slots come when first touched. Counted on this one
+   domain as every word allocated outside promotion, so it repeats exactly
+   from run to run. *)
+let test_boot_allocation () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let k = Cheri_kernel.Kernel.boot () in
+  let w = int_of_float (words () -. w0) in
+  Printf.printf "Kernel.boot: %d words\n" w;
+  Alcotest.(check bool) (Printf.sprintf "boot allocates %d < 100000 words" w)
+    true (w < 100_000);
+  let phys = k.Cheri_kernel.Kstate.phys in
+  Alcotest.(check int) "every frame but frame 0 free after boot"
+    (Phys.total_frames phys - 1) (Phys.free_frames phys);
+  Alcotest.(check int) "no frame handed out yet" 0 (Phys.high_water phys)
+
 (* --- Phys ------------------------------------------------------------------- *)
 
 let test_phys_alloc_free () =
@@ -176,6 +305,27 @@ let test_phys_alloc_zeroes () =
   Alcotest.(check int) "same frame" f f2;
   Alcotest.(check int) "zeroed" 0 (Tagmem.read_int m (pa2 + 100) ~len:8);
   Alcotest.(check bool) "tag gone" false (Tagmem.get_tag m pa2)
+
+(* Freed frames are reused newest first, then fresh frames ascending:
+   the order of a free list seeded 1, 2, 3, ... with frees pushed on its
+   head, so every physical address matches the eager allocator's. *)
+let test_phys_order () =
+  let m = Tagmem.create ~size:(64 * 4096) in
+  let p = Phys.create m in
+  let a = Phys.alloc_frame p in
+  let b = Phys.alloc_frame p in
+  let c = Phys.alloc_frame p in
+  Alcotest.(check (list int)) "fresh ascending" [ 1; 2; 3 ] [ a; b; c ];
+  Alcotest.(check int) "high water" 3 (Phys.high_water p);
+  Phys.decref p a;
+  Phys.decref p c;
+  let d = Phys.alloc_frame p in
+  let e = Phys.alloc_frame p in
+  let f = Phys.alloc_frame p in
+  Alcotest.(check (list int)) "freed newest first, then fresh" [ 3; 1; 4 ]
+    [ d; e; f ];
+  Alcotest.(check int) "high water follows fresh frames" 4 (Phys.high_water p);
+  Alcotest.(check int) "free count" (64 - 1 - 4) (Phys.free_frames p)
 
 let test_phys_oom () =
   let m = Tagmem.create ~size:(4 * 4096) in
@@ -228,10 +378,15 @@ let suite =
     "overlapping move unaligned", `Quick, test_move_overlap_unaligned;
     "scan tags", `Quick, test_scan_tags;
     "fill clears tags", `Quick, test_fill_clears_tags;
+    "untouched memory reads zero", `Quick, test_untouched_reads_zero;
+    "fresh frame: cap then data store", `Quick, test_fresh_frame_cap_then_data;
+    "move and fill across frames", `Quick, test_move_fill_across_frames;
+    "boot allocation gate", `Quick, test_boot_allocation;
     "phys alloc/free", `Quick, test_phys_alloc_free;
     "phys refcount", `Quick, test_phys_refcount;
     "phys alloc zeroes", `Quick, test_phys_alloc_zeroes;
     "phys oom", `Quick, test_phys_oom;
+    "phys allocation order", `Quick, test_phys_order;
     "cache hit after miss", `Quick, test_cache_hit_after_miss;
     "cache eviction", `Quick, test_cache_eviction;
     "cache line straddle", `Quick, test_cache_straddle;
