@@ -418,14 +418,11 @@ let find_leg legs name = List.find (fun l -> l.name = name) legs
 
 let mips insns secs = float_of_int insns /. secs /. 1e6
 
-(* Best-of passes: the statistic every gate and recorded speedup uses. *)
-let best_secs l = List.fold_left Float.min infinity l.secs
-let sim_mips l = mips l.insns (best_secs l)
-
-let median xs =
-  let a = Array.of_list (List.sort Float.compare xs) in
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+(* The median pass (the upper one of an even count): the statistic every
+   gate and recorded speedup uses. *)
+let median_by cmp xs = List.nth (List.sort cmp xs) (List.length xs / 2)
+let median = median_by Float.compare
+let sim_mips l = median (List.map (mips l.insns) l.secs)
 
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
@@ -487,10 +484,10 @@ let engine_bench () =
   in
   (* One full pass over the mix. The fact cache is deliberately NOT cleared
      here: within a leg, passes after the first hit the image-keyed cache, so
-     best-of-N measures the amortized (steady-state) cost of elision rather
-     than the one-off analysis of a cold cache. The chain stats and probe
-     counts are deterministic across passes of one leg, so a leg keeps its
-     last pass's. *)
+     the median pass measures the amortized (steady-state) cost of elision
+     rather than the one-off analysis of a cold cache. The chain stats and
+     probe counts are deterministic across passes of one leg, so a leg
+     keeps its last pass's. *)
   let run_pass (name, elide, engine) () =
     let l, secs =
       List.fold_left
@@ -533,9 +530,9 @@ let engine_bench () =
          (List.map (fun ((name, _, _) as leg) -> name, run_pass leg) legs))
   in
   (* Smoke legs are ~40ms a pass, where a single descheduling event is a
-     multi-percent outlier; best-of-7 there keeps the smoke gates from
-     being decided by one noisy pass while staying under a second per
-     leg. The full mix runs seconds per pass and keeps best-of-3. *)
+     multi-percent outlier; the median of 7 there keeps the smoke gates
+     from being decided by one noisy pass while staying under a second per
+     leg. The full mix runs seconds per pass and takes the median of 3. *)
   let reps = if !opt_smoke then 7 else 3 in
   (* Sequenced with explicit lets: the analysis-stats epoch of the chain
      pair is read below, so it must run last. *)
@@ -570,7 +567,7 @@ let engine_bench () =
         else Printf.sprintf "%.2f" (chain_len l.ch), pct (ic_rate l.ch)
       in
       Printf.printf "%-18s %14d %10.3f %10.2f %10s %8s %8s\n" l.name l.insns
-        (best_secs l) (sim_mips l) len ic
+        (median l.secs) (sim_mips l) len ic
         (if l.checked + l.elided = 0 then "-" else pct (elide_rate l)))
     legs;
   List.iter
@@ -640,13 +637,11 @@ let engine_bench () =
         J.List
           (List.map
              (fun l ->
-               let pass_mips = List.map (mips l.insns) l.secs in
                J.Obj
                  [ "engine", J.String l.name; "instructions", J.Int l.insns;
-                   "host_seconds", num (best_secs l);
-                   "sim_mips", num (sim_mips l);
-                   "pass_sim_mips", J.List (List.map num pass_mips);
-                   "median_sim_mips", num (median pass_mips);
+                   "pass_sim_mips",
+                   J.List (List.map (fun t -> num (mips l.insns t)) l.secs);
+                   "median_sim_mips", num (sim_mips l);
                    "chain_length", num (chain_len l.ch);
                    "ic_hit_rate", num (ic_rate l.ch);
                    "elide_rate", num (elide_rate l) ])
@@ -680,25 +675,23 @@ let engine_bench () =
 
 (* --- Fleet: multicore machine sharding (docs/FLEET.md) ----------------------------- *)
 
-(* The 1-domain and [domains]-domain runs of one machine set, interleaved,
-   keeping each side's best-throughput report. Simulated results are
-   identical across passes by the determinism contract, so "best" only
-   selects a wall clock. *)
+(* Three interleaved pairs of 1-domain and [domains]-domain runs of one
+   machine set, keeping each side's median-throughput report. The first
+   1-domain pass runs with a cold analysis cache, which the median drops.
+   Simulated results are identical across passes by the determinism
+   contract, so the median only selects a wall clock. *)
 let fleet_pair ~domains run =
   Cheri_analysis.Absint.reset_stats ();
   Cheri_analysis.Absint.clear_fact_cache ();
-  let reps = if !opt_smoke then 3 else 1 in
-  let best rs =
-    List.fold_left
-      (fun a b -> if b.Fleet.f_mips > a.Fleet.f_mips then b else a)
-      (List.hd rs) rs
+  let median_pass =
+    median_by (fun a b -> Float.compare a.Fleet.f_mips b.Fleet.f_mips)
   in
   match
-    interleave ~reps ~insns:(fun r -> r.Fleet.f_insns)
+    interleave ~reps:3 ~insns:(fun r -> r.Fleet.f_insns)
       [ "1 domain", (fun () -> run 1);
         count domains "domain", (fun () -> run domains) ]
   with
-  | [ single; sharded ] -> best single, best sharded
+  | [ single; sharded ] -> median_pass single, median_pass sharded
   | _ -> assert false
 
 (* Per-machine checks of the sharded run: a clean exit, the workload's
@@ -731,17 +724,18 @@ let check_machines ~tag ~suffix ~domains (single : Fleet.report)
    the same per-core floor is applied to min(domains, cores) — on a 1-core
    host that degenerates to "N domains must stay within 0.625x of 1
    domain", guarding against multi-domain overhead regressions while
-   demanding nothing the hardware cannot give. docs/FLEET.md records this
-   policy. *)
-let scaling_gate ~tag ~domains (single : Fleet.report) (sharded : Fleet.report) =
+   demanding nothing the hardware cannot give. [speedup] is the median
+   sharded pass over the median single-domain pass (see [fleet_pair]);
+   docs/FLEET.md records this policy. *)
+let scaling_gate ~tag ~domains speedup =
   let usable = min domains (Domain.recommended_domain_count ()) in
   let floor_x = 0.625 *. float_of_int usable in
-  if sharded.f_mips < floor_x *. single.f_mips then
+  if speedup < floor_x then
     failwith
       (Printf.sprintf
-         "%s: %d-domain aggregate %.2f sim-MIPS under the %.2fx floor over \
-          single-domain %.2f (usable parallelism %d)"
-         tag domains sharded.f_mips floor_x single.f_mips usable)
+         "%s: %d-domain speedup %.2fx under the %.2fx floor (usable \
+          parallelism %d)"
+         tag domains speedup floor_x usable)
 
 let fleet_bench () =
   header "Fleet: whole-machine sharding across OCaml domains (TLS traffic)";
@@ -757,19 +751,18 @@ let fleet_bench () =
   let specs = Fleet.traffic_mix ~machines ~rounds () in
   let single, fleet = fleet_pair ~domains (fun d -> Fleet.run ~domains:d specs) in
   check_machines ~tag:"fleet" ~suffix:"fleet ok" ~domains single fleet;
-  Printf.printf "%-20s %6s %6s %12s %9s %8s\n" "machine" "domain" "stolen"
-    "sim insns" "requests" "host s";
+  Printf.printf "%-20s %6s %12s %9s %8s\n" "machine" "domain" "sim insns"
+    "requests" "host s";
   Array.iter
     (fun (m : Fleet.machine_result) ->
-      Printf.printf "%-20s %6d %6s %12d %9d %8.3f\n" m.mr_label m.mr_domain
-        (if m.mr_stolen then "yes" else "no")
+      Printf.printf "%-20s %6d %12d %9d %8.3f\n" m.mr_label m.mr_domain
         m.mr_insns m.mr_requests m.mr_host_seconds)
     fleet.f_results;
   let speedup = fleet.f_mips /. single.f_mips in
   Printf.printf
-    "aggregate: 1 domain %.2f sim-MIPS; %d domains (%d workers) %.2f \
-     sim-MIPS (%.2fx), %d steals\n"
-    single.f_mips domains fleet.f_workers fleet.f_mips speedup fleet.f_steals;
+    "aggregate (median passes): 1 domain %.2f sim-MIPS; %d domains (%d \
+     workers) %.2f sim-MIPS (%.2fx)\n"
+    single.f_mips domains fleet.f_workers fleet.f_mips speedup;
   Printf.printf "utilization: %s\n"
     (String.concat " "
        (Array.to_list
@@ -791,7 +784,7 @@ let fleet_bench () =
       failwith
         (Printf.sprintf "fleet-smoke: instruction totals diverged (%d vs %d)"
            single.f_insns fleet.f_insns);
-    scaling_gate ~tag:"fleet-smoke" ~domains single fleet
+    scaling_gate ~tag:"fleet-smoke" ~domains speedup
   end;
   emit
     [ ( "fleet",
@@ -801,7 +794,6 @@ let fleet_bench () =
             "requests", J.Int fleet.f_requests;
             "single_domain_mips", num single.f_mips;
             "aggregate_mips", num fleet.f_mips; "speedup", num speedup;
-            "steals", J.Int fleet.f_steals;
             "utilization", J.List (List.map num (Array.to_list fleet.f_util));
             ( "latency_cycles",
               J.Obj
@@ -814,7 +806,6 @@ let fleet_bench () =
                      J.Obj
                        [ "machine", J.String m.mr_label;
                          "domain", J.Int m.mr_domain;
-                         "stolen", J.Bool m.mr_stolen;
                          "instructions", J.Int m.mr_insns;
                          "requests", J.Int m.mr_requests;
                          "host_seconds", num m.mr_host_seconds ])
@@ -902,12 +893,15 @@ let malloc_contention () =
   end;
   (* --- Fleet leg: determinism + throughput ---------------------------- *)
   let domains = !opt_domains in
-  let machines, src =
-    if !opt_smoke then
-      2, Malloc_bench.contention_src ~objs:24 ~generations:4 ~churn:12 ()
-    else 4, Malloc_bench.contention_src ()
+  (* Each child's churn loop carries the allocator traffic; it is sized so
+     a smoke machine runs for tens of milliseconds, well above the cost of
+     booting it and of spawning a domain. *)
+  let machines = 4 in
+  let objs, gens, churn =
+    if !opt_smoke then 24, 4, 2000
+    else Malloc_bench.default_objs, Malloc_bench.default_generations, 8000
   in
-  let gens = if !opt_smoke then 4 else Malloc_bench.default_generations in
+  let src = Malloc_bench.contention_src ~objs ~generations:gens ~churn () in
   Printf.printf "fleet leg: %d contention machines, %s on %s\n%!" machines
     (count domains "domain")
     (count (Domain.recommended_domain_count ()) "host core");
@@ -919,9 +913,7 @@ let malloc_contention () =
           ms_argv = [ "malloc_mc" ]; ms_max_steps = 200_000_000;
           ms_marker = '#' })
   in
-  let single, fleet =
-    fleet_pair ~domains (fun d -> Fleet.run ~domains:d ~oversubscribe:true specs)
-  in
+  let single, fleet = fleet_pair ~domains (fun d -> Fleet.run ~domains:d specs) in
   check_machines ~tag:"malloc fleet" ~suffix:" malloc ok" ~domains single fleet;
   Printf.printf "%-14s %9s %9s %9s %9s %8s %8s %8s\n" "machine" "mallocs"
     "frees" "rem-enq" "rem-drn" "own-sw" "reuse" "adopt";
@@ -948,18 +940,23 @@ let malloc_contention () =
         (ma "mallocs") (ma "frees") (ma "remote_enq") (ma "remote_drained")
         (ma "owner_sweeps") (ma "reuse_sweeps") (ma "adoptions"))
     fleet.f_results;
-  let speedup = fleet.f_mips /. single.f_mips in
-  Printf.printf
-    "aggregate: 1 domain %.2f sim-MIPS; %d domains %.2f sim-MIPS (%.2fx)\n"
-    single.f_mips domains fleet.f_mips speedup;
-  (* Sharding the contention machines must not cost throughput the
-     hardware can deliver. *)
-  if !opt_smoke then scaling_gate ~tag:"malloc-smoke" ~domains single fleet;
   let asum name =
     Array.fold_left
       (fun acc (m : Fleet.machine_result) -> acc + List.assoc name m.mr_alloc)
       0 fleet.f_results
   in
+  (* The leg's primary number: allocator calls per host second of the
+     whole fleet run, boot and teardown included. *)
+  let ops = asum "mallocs" + asum "frees" in
+  let ops_per_s (r : Fleet.report) = float_of_int ops /. r.f_host_seconds in
+  let speedup = ops_per_s fleet /. ops_per_s single in
+  Printf.printf
+    "aggregate (median passes, %d malloc+free): 1 domain %.0f ops/s; %d \
+     domains %.0f ops/s (%.2fx)\n"
+    ops (ops_per_s single) domains (ops_per_s fleet) speedup;
+  (* Sharding the contention machines must not cost throughput the
+     hardware can deliver. *)
+  if !opt_smoke then scaling_gate ~tag:"malloc-smoke" ~domains speedup;
   let totals =
     [ "mallocs"; "frees"; "remote_enq"; "remote_drained"; "drains";
       "owner_sweeps"; "reuse_sweeps"; "adoptions"; "tags_cleared";
@@ -970,8 +967,9 @@ let malloc_contention () =
         J.Obj
           [ "machines", J.Int machines; "domains", J.Int domains;
             "workers", J.Int fleet.f_workers; "requests", J.Int fleet.f_requests;
-            "single_domain_mips", num single.f_mips;
-            "aggregate_mips", num fleet.f_mips; "speedup", num speedup;
+            "single_domain_ops_per_s", num (ops_per_s single);
+            "aggregate_ops_per_s", num (ops_per_s fleet);
+            "speedup", num speedup;
             "alloc_totals", J.Obj (List.map (fun n -> n, J.Int (asum n)) totals);
             ( "directed_shards",
               J.List

@@ -77,7 +77,6 @@ let chunk_insns = 20_000
 type machine_result = {
   mr_label : string;
   mr_domain : int;                 (* domain that ran it (reporting only) *)
-  mr_stolen : bool;                (* arrived via work stealing *)
   mr_status : Proc.exit_status option;
   mr_output : string;
   mr_insns : int;                  (* all processes, via Loop.run *)
@@ -214,7 +213,6 @@ let run_machine ?(engine = Cpu.Chain) ?(elide = true) spec =
   let mr_host_seconds = Unix.gettimeofday () -. host0 in
   { mr_label = spec.ms_label;
     mr_domain = 0;
-    mr_stolen = false;
     mr_status = status;
     mr_output = Buffer.contents p.Proc.console;
     mr_insns = executed;
@@ -227,70 +225,6 @@ let run_machine ?(engine = Cpu.Chain) ?(elide = true) spec =
     mr_snapshot;
     mr_alloc }
 
-(* --- Work-stealing scheduler ------------------------------------------------ *)
-
-(* One mutex-guarded deque of spec indices per domain, seeded round-robin.
-   Owners pop from the head; a domain whose deque drains steals from the
-   TAIL of the first non-empty victim (classic owner-head/thief-tail
-   split, so thieves take the work the owner would reach last). The locks
-   are per-deque and never nested, so there is no ordering concern.
-   Stealing only changes WHICH domain runs a machine — never how the
-   machine runs — so heterogeneous run lengths load-balance without
-   touching determinism. *)
-type deque = { dq_lock : Mutex.t; mutable dq : int list }
-
-type sched = {
-  deques : deque array;
-  steals : int Atomic.t;
-}
-
-let make_sched ~domains specs_n =
-  let deques =
-    Array.init domains (fun _ -> { dq_lock = Mutex.create (); dq = [] })
-  in
-  for i = specs_n - 1 downto 0 do
-    let d = deques.(i mod domains) in
-    d.dq <- i :: d.dq
-  done;
-  { deques; steals = Atomic.make 0 }
-
-let pop_own sc d =
-  let q = sc.deques.(d) in
-  Mutex.protect q.dq_lock (fun () ->
-      match q.dq with
-      | [] -> None
-      | i :: rest ->
-        q.dq <- rest;
-        Some i)
-
-let steal sc d =
-  let n = Array.length sc.deques in
-  let rec try_victim k =
-    if k >= n then None
-    else
-      let v = (d + k) mod n in
-      let q = sc.deques.(v) in
-      let got =
-        Mutex.protect q.dq_lock (fun () ->
-            match List.rev q.dq with
-            | [] -> None
-            | last :: rev_rest ->
-              q.dq <- List.rev rev_rest;
-              Some last)
-      in
-      match got with
-      | Some i ->
-        Atomic.incr sc.steals;
-        Some i
-      | None -> try_victim (k + 1)
-  in
-  try_victim 1
-
-let next_task sc d =
-  match pop_own sc d with
-  | Some i -> Some (i, false)
-  | None -> (match steal sc d with Some i -> Some (i, true) | None -> None)
-
 (* --- Fleet run -------------------------------------------------------------- *)
 
 type report = {
@@ -301,7 +235,8 @@ type report = {
   f_host_seconds : float;             (* wall clock for the whole fleet *)
   f_mips : float;                     (* aggregate sim-MIPS *)
   f_util : float array;               (* per-domain busy / wall *)
-  f_steals : int;
+  f_steals : int;                     (* always 0: one shared queue leaves
+                                         nothing to steal; perfbench reads it *)
   f_requests : int;
   f_p50 : int;                        (* request latency percentiles, *)
   f_p95 : int;                        (*   in simulated cycles *)
@@ -320,17 +255,23 @@ let percentile sorted q =
    Worker 0 runs on the calling domain; the rest are spawned. All results
    are published by [Domain.join] before aggregation reads them.
 
+   Scheduling is one shared cursor over the spec list: each worker that
+   comes free takes the next spec in list order. Machines therefore START
+   in list order, and the fleet finishes soonest when callers list the
+   longest machines first (longest-processing-time order; [traffic_mix]
+   does). Which domain runs a machine never changes how it runs.
+
    By default live workers are capped at the host's recommended domain
    count: OCaml 5 minor collections are stop-the-world rendezvous across
    every running domain, so oversubscribing domains past the core count
    does not just serialize — each collection waits for descheduled domains
    to reach their safepoint, and measured throughput collapses well below
    the single-domain baseline. Requesting more domains than cores then
-   runs [min domains cores] workers over the same work-stealing deques
-   (machine results are identical either way — that is the determinism
-   contract). [~oversubscribe:true] disables the cap: the differential
-   tests use it to force REAL cross-domain execution even on a one-core
-   host, where correctness, not throughput, is being tested. *)
+   runs [min domains cores] workers over the same queue (machine results
+   are identical either way — that is the determinism contract).
+   [~oversubscribe:true] disables the cap: the differential tests use it
+   to force REAL cross-domain execution even on a one-core host, where
+   correctness, not throughput, is being tested. *)
 let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
     ~domains specs =
   if domains < 1 then invalid_arg "Fleet.run: domains < 1";
@@ -340,21 +281,18 @@ let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
   in
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  let sc = make_sched ~domains:workers n in
+  let next = Atomic.make 0 in
   let results : machine_result option array = Array.make n None in
   let busy = Array.make workers 0.0 in
   let wall0 = Unix.gettimeofday () in
-  let worker d =
-    let rec loop () =
-      match next_task sc d with
-      | None -> ()
-      | Some (i, stolen) ->
-        let r = run_machine ~engine ~elide specs.(i) in
-        results.(i) <- Some { r with mr_domain = d; mr_stolen = stolen };
-        busy.(d) <- busy.(d) +. r.mr_host_seconds;
-        loop ()
-    in
-    loop ()
+  let rec worker d =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let r = run_machine ~engine ~elide specs.(i) in
+      results.(i) <- Some { r with mr_domain = d };
+      busy.(d) <- busy.(d) +. r.mr_host_seconds;
+      worker d
+    end
   in
   let others =
     Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> worker (j + 1)))
@@ -384,7 +322,7 @@ let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
     f_host_seconds = wall;
     f_mips = float_of_int insns /. wall /. 1e6;
     f_util = Array.map (fun b -> if wall > 0.0 then b /. wall else 0.0) busy;
-    f_steals = Atomic.get sc.steals;
+    f_steals = 0;
     f_requests = requests;
     f_p50 = percentile all_lats 0.50;
     f_p95 = percentile all_lats 0.95;
@@ -394,11 +332,13 @@ let run ?(engine = Cpu.Chain) ?(elide = true) ?(oversubscribe = false)
 
 (* Heterogeneous s_server traffic mix: three service classes (short,
    medium, long — the long class serves 3x the rounds of the short one at
-   double the record size), machines assigned round-robin. Machines of one
-   class share a single prebuilt image, so the fleet also exercises
-   cross-domain sharing of the image-keyed analysis caches; classes differ
-   in code (distinct images) as well as load. All images are built here,
-   in the calling domain, before any domain spawns. *)
+   double the record size). Machine i belongs to class [i mod 3] and
+   serves port 4433+i; the list holds the long machines first, then the
+   medium and the short ones, because [run] starts machines in list order.
+   Machines of one class share a single prebuilt image, so the fleet also
+   exercises cross-domain sharing of the image-keyed analysis caches;
+   classes differ in code (distinct images) as well as load. All images
+   are built here, in the calling domain, before any domain spawns. *)
 let traffic_classes ~rounds =
   [ ("short", rounds, 256, 11);
     ("medium", rounds * 2, 384, 23);
@@ -418,8 +358,12 @@ let traffic_mix ?(abi = Abi.Cheriabi) ~machines ~rounds () =
       (traffic_classes ~rounds)
   in
   let classes = Array.of_list classes in
-  List.init machines (fun i ->
-      let cname, image = classes.(i mod Array.length classes) in
+  let cls i = i mod Array.length classes in
+  (* [traffic_classes] lists the classes shortest first. *)
+  List.init machines Fun.id
+  |> List.stable_sort (fun a b -> compare (cls b) (cls a))
+  |> List.map (fun i ->
+      let cname, image = classes.(cls i) in
       { ms_label = Printf.sprintf "s_server/%s/%d" cname i;
         ms_abi = abi;
         ms_image = image;

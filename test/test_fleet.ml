@@ -2,8 +2,8 @@
    not change what any machine computes.
 
    The contract (docs/FLEET.md): a machine's execution depends only on
-   its spec — never on the domain count, the work-stealing scheduler's
-   machine-to-domain assignment, or what other machines run concurrently.
+   its spec — never on the domain count, which domain took it from the
+   shared run queue, or what other machines run concurrently.
    The differential here runs the SAME machine set with 1 domain and with
    4 genuinely concurrent domains ([~oversubscribe:true] defeats the
    host-core cap, so even a one-core CI host really interleaves four
@@ -297,6 +297,53 @@ let test_worker_cap () =
   Alcotest.(check int) "one utilization slot per worker"
     r.Fleet.f_workers (Array.length r.Fleet.f_util)
 
+(* [Fleet.run] starts machines in list order, so the standard mix lists
+   its long machines first; each keeps the label and port of its index. *)
+let test_traffic_mix_longest_first () =
+  let labels n =
+    List.map
+      (fun (s : Fleet.machine_spec) ->
+        let i =
+          int_of_string (List.nth (String.split_on_char '/' s.ms_label) 2)
+        in
+        Alcotest.(check (list string)) (s.ms_label ^ " port")
+          [ "s_server"; "-port"; string_of_int (4433 + i) ] s.ms_argv;
+        s.ms_label)
+      (Fleet.traffic_mix ~machines:n ~rounds:1 ())
+  in
+  Alcotest.(check (list string)) "4 machines"
+    [ "s_server/long/2"; "s_server/medium/1"; "s_server/short/0";
+      "s_server/short/3" ]
+    (labels 4);
+  Alcotest.(check (list string)) "8 machines"
+    [ "s_server/long/2"; "s_server/long/5"; "s_server/medium/1";
+      "s_server/medium/4"; "s_server/medium/7"; "s_server/short/0";
+      "s_server/short/3"; "s_server/short/6" ]
+    (labels 8)
+
+(* More workers than machines, and no machines at all: every worker finds
+   the queue drained and the report is still whole. *)
+let test_report_complete () =
+  let check_report name specs (r : Fleet.report) =
+    let label (m : Fleet.machine_result) = m.mr_label in
+    Alcotest.(check (list string)) (name ^ ": every machine, in spec order")
+      (List.map (fun (s : Fleet.machine_spec) -> s.ms_label) specs)
+      (Array.to_list (Array.map label r.f_results));
+    Alcotest.(check int) (name ^ ": f_insns sums the machines")
+      (Array.fold_left (fun a (m : Fleet.machine_result) -> a + m.mr_insns) 0
+         r.f_results)
+      r.f_insns
+  in
+  let specs =
+    [ custom_spec ~label:"few_a" ~name:"few_a" mprotect_src;
+      custom_spec ~label:"few_b" ~name:"few_b" fork_heavy_src ]
+  in
+  let r = Fleet.run ~domains:4 ~oversubscribe:true specs in
+  check_report "2 specs on 4 workers" specs r;
+  Alcotest.(check int) "4 workers" 4 r.f_workers;
+  Alcotest.(check bool) "machines ran" true (r.f_insns > 0);
+  check_report "no specs" [] (Fleet.run ~domains:2 [])
+
 let test_percentiles_monotone () =
   Absint.clear_fact_cache ();
   let specs = Fleet.traffic_mix ~machines:2 ~rounds:3 () in
@@ -312,4 +359,8 @@ let suite =
     test_untouched_above_high_water;
     "fleet: data= digests contents", `Quick, test_data_digest_contents;
     "fleet: worker cap respects host cores", `Quick, test_worker_cap;
+    "fleet: traffic mix lists longest first", `Quick,
+    test_traffic_mix_longest_first;
+    "fleet: report complete for few or no machines", `Quick,
+    test_report_complete;
     "fleet: latency percentiles monotone", `Quick, test_percentiles_monotone ]
